@@ -12,12 +12,12 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from . import dynsys, engine, observables, oracle
+from . import dynsys, engine, observables
 from .dynsys import TransformSpec, build_family
 from .engine import Schedule
 from .observables import Observable, integrate
@@ -43,7 +43,7 @@ class Scenario:
     observables: tuple[Observable, ...]
     x0: float
     schedule: Schedule
-    periodic: tuple[Observable, int] | None
+    periodic: tuple[Observable, TransformSpec] | None
     indicators: tuple[Observable, ...]
     tolerance: float
     workers: int
@@ -51,291 +51,245 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs
+# scenario decoding
+#
+# A kind table maps each kind to its public constructor and the
+# constructor's parameters as (name, type, default).  A type is a JSON type
+# name, "fraction" (an integer or a 'p/q' string), [t] for an array of t, a
+# tuple of types for a fixed-length array, a kind table for a nested record,
+# or a decoder function.  The decoder checks JSON types itself (an integer
+# is never a bool or a float, a number is never a bool) and leaves value
+# ranges to the constructors.
+
+_REQUIRED = object()
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_JSON_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "fraction": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                           or isinstance(v, str)
+                           and _FRACTION.fullmatch(v) is not None),
+}
+
+# Constants are tagged by their only key, {"surd": {"m": 2}}; the body of a
+# literal is the number itself, {"literal": 0.5}.
+CONSTANTS = {
+    "rational": (ScalarConstant.rational,
+                 (("p", "integer", _REQUIRED), ("q", "integer", 1))),
+    "surd": (ScalarConstant.surd,
+             (("a", "fraction", 0), ("b", "fraction", 1),
+              ("m", "integer", _REQUIRED))),
+    "literal": (ScalarConstant.literal, "number"),
+}
+# Transforms and observables are tagged by their "kind" field.
+TRANSFORMS = {
+    "rotation": (dynsys.rotation,
+                 (("alpha", CONSTANTS, _REQUIRED), ("label", "string", ""))),
+    "rotation_power": (dynsys.rotation_power,
+                       (("alpha", CONSTANTS, _REQUIRED),
+                        ("p", "integer", _REQUIRED), ("label", "string", ""))),
+    "finite_rotation": (dynsys.finite_rotation,
+                        (("q", "integer", _REQUIRED), ("label", "string", ""))),
+}
+OBSERVABLES = {
+    "frac_part": (observables.frac_part, ()),
+    "power_of_frac": (observables.power_of_frac, (("p", "integer", _REQUIRED),)),
+    "indicator": (observables.indicator,
+                  (("a", "number", _REQUIRED), ("b", "number", _REQUIRED))),
+    "trig_poly": (observables.trig_poly,
+                  (("coeffs", [("integer", "number", "number")], _REQUIRED),)),
+    "piecewise_linear": (observables.piecewise_linear,
+                         (("knots", [("number", "number")], _REQUIRED),)),
+}
+_INDICATOR = {"indicator": OBSERVABLES["indicator"]}
 
 
-def _frac_from(v, path, errs):
+def _at(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _typed(v, typ, path, errs):
+    """v decoded as typ, or None after logging why not."""
+    if isinstance(typ, dict):
+        return _tagged(typ, v, path, errs)
+    if callable(typ):
+        return typ(v, path, errs)
+    if isinstance(typ, str):
+        if _JSON_TYPES[typ](v):
+            return v
+        errs.append(f"{path}: expected {typ}, got {v!r}")
+        return None
+    # [t] is an array of t; a tuple of types is an array of that length
+    if isinstance(v, list) and (isinstance(typ, list) or len(v) == len(typ)):
+        types = typ * len(v) if isinstance(typ, list) else typ
+        n = len(errs)
+        out = [_typed(x, t, f"{path}[{i}]", errs)
+               for i, (x, t) in enumerate(zip(v, types))]
+        return out if len(errs) == n else None
+    length = f" of {len(typ)}" if isinstance(typ, tuple) else ""
+    errs.append(f"{path}: expected an array{length}, got {v!r}")
+    return None
+
+
+def _tagged(table, v, path, errs):
+    """One record of a kind table."""
+    kind = body = None
+    if isinstance(v, dict) and table is CONSTANTS:
+        if len(v) == 1:
+            (kind, body), = v.items()
+    elif isinstance(v, dict):
+        kind = v.get("kind")
+        body = {k: x for k, x in v.items() if k != "kind"}
+    if not isinstance(kind, str) or kind not in table:
+        errs.append(f"{path}: expected a {' | '.join(table)} record, got {v!r}")
+        return None
+    make, fields = table[kind]
+    if table is CONSTANTS:
+        path = f"{path}.{kind}"
+    if isinstance(fields, str):  # the body is the value itself
+        value = _typed(body, fields, path, errs)
+        return None if value is None else _call(lambda: make(value), path, errs)
+    return _record(make, fields, body, path, errs)
+
+
+def _record(make, fields, body, path, errs):
+    """make(**fields decoded from the JSON object body), or None after
+    logging why not; keys that are not fields are errors."""
+    if not isinstance(body, dict):
+        errs.append(f"{path}: expected an object, got {body!r}")
+        return None
+    n = len(errs)
+    names = [name for name, _, _ in fields]
+    errs.extend(f"{_at(path, k)}: unknown field" for k in body if k not in names)
+    args = {}
+    for name, typ, default in fields:
+        if name in body:
+            args[name] = _typed(body[name], typ, _at(path, name), errs)
+        elif default is _REQUIRED:
+            errs.append(f"{_at(path, name)}: required")
+        else:
+            args[name] = default
+    return _call(lambda: make(**args), path, errs) if len(errs) == n else None
+
+
+def _call(build, path, errs):
     try:
-        if isinstance(v, bool):
-            raise ValueError
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        pass
-    errs.append(f"{path}: expected an integer or 'p/q' string, got {v!r}")
-    return None
-
-
-def _scalar_from(obj, path, errs):
-    if not isinstance(obj, dict) or len(obj) != 1:
-        errs.append(f"{path}: expected a one-key constant record")
+        return build()
+    except (ValueError, OverflowError) as exc:
+        errs.append(f"{path}: {exc}")
         return None
-    (tag, body), = obj.items()
-    if tag == "rational":
-        p, q = body.get("p"), body.get("q", 1)
-        if not isinstance(p, int) or not isinstance(q, int) or q < 1:
-            errs.append(f"{path}.rational: need integer p and positive integer q")
-            return None
-        return ScalarConstant.rational(p, q)
-    if tag == "surd":
-        a = _frac_from(body.get("a", 0), f"{path}.surd.a", errs)
-        b = _frac_from(body.get("b", 1), f"{path}.surd.b", errs)
-        m = body.get("m")
-        if not isinstance(m, int) or m < 1:
-            errs.append(f"{path}.surd.m: need a positive integer")
-            return None
-        if a is None or b is None:
-            return None
-        return ScalarConstant.surd(a, b, m)
-    if tag == "literal":
-        if not isinstance(body, (int, float)) or isinstance(body, bool):
-            errs.append(f"{path}.literal: need a number")
-            return None
-        return ScalarConstant.literal(float(body))
-    errs.append(f"{path}: unknown constant tag {tag!r}")
-    return None
 
 
-def _scalar_to(c: ScalarConstant):
-    if c.kind == "rational":
-        return {"rational": {"p": c.rat.numerator, "q": c.rat.denominator}}
-    if c.kind == "surd":
-        return {"surd": {"a": str(c.surd_a), "b": str(c.surd_b), "m": c.surd_m}}
-    return {"literal": c.lit}
+def _schedule(v, path, errs):
+    """Either {"checkpoints": [...]} or {"n_max": N, "ratio": r}."""
+    if isinstance(v, dict) and "checkpoints" in v:
+        return _record(lambda checkpoints: Schedule(tuple(checkpoints)),
+                       (("checkpoints", ["integer"], _REQUIRED),), v, path, errs)
+    return _record(Schedule.geometric,
+                   (("n_max", "integer", _REQUIRED),
+                    ("ratio", "number", 10.0 ** 0.125)), v, path, errs)
 
 
-def _spec_from(obj, path, errs):
-    if not isinstance(obj, dict):
-        errs.append(f"{path}: expected a transform record")
-        return None
-    kind = obj.get("kind")
-    label = obj.get("label", "")
-    if kind == "rotation":
-        alpha = _scalar_from(obj.get("alpha"), f"{path}.alpha", errs)
-        return dynsys.rotation(alpha, label) if alpha else None
-    if kind == "rotation_power":
-        alpha = _scalar_from(obj.get("alpha"), f"{path}.alpha", errs)
-        p = obj.get("p")
-        if not isinstance(p, int) or p < 1:
-            errs.append(f"{path}.p: need a positive integer")
-            return None
-        return dynsys.rotation_power(alpha, p, label) if alpha else None
-    if kind == "finite_rotation":
-        q = obj.get("q")
-        if not isinstance(q, int) or q < 1:
-            errs.append(f"{path}.q: need a positive integer")
-            return None
-        return dynsys.finite_rotation(q, label)
-    errs.append(f"{path}: unknown transform kind {kind!r}")
-    return None
+def _periodic(v, path, errs):
+    return _record(lambda g, k: (g, dynsys.finite_rotation(k)),
+                   (("g", OBSERVABLES, _REQUIRED), ("k", "integer", _REQUIRED)),
+                   v, path, errs)
 
 
-def _spec_to(s: TransformSpec):
-    out = {"kind": s.kind}
-    if s.label:
-        out["label"] = s.label
-    if s.kind in ("rotation", "rotation_power"):
-        out["alpha"] = _scalar_to(s.alpha)
-    if s.kind == "rotation_power":
-        out["p"] = s.power
-    if s.kind == "finite_rotation":
-        out["q"] = s.order
-    return out
+def _indicators(v, path, errs):
+    return _record(lambda **named: named,
+                   tuple((key, _INDICATOR, None) for key in "ABC"), v, path, errs)
 
 
-def _obs_from(obj, path, errs):
-    if not isinstance(obj, dict):
-        errs.append(f"{path}: expected an observable record")
-        return None
-    kind = obj.get("kind")
-    try:
-        if kind == "frac_part":
-            return observables.frac_part()
-        if kind == "power_of_frac":
-            return observables.power_of_frac(obj["p"])
-        if kind == "indicator":
-            return observables.indicator(obj["a"], obj["b"])
-        if kind == "trig_poly":
-            return observables.trig_poly(obj["coeffs"])
-        if kind == "piecewise_linear":
-            return observables.piecewise_linear(obj["knots"])
-    except (KeyError, TypeError, ValueError) as exc:
-        errs.append(f"{path}: invalid {kind} record ({exc})")
-        return None
-    errs.append(f"{path}: unknown observable kind {kind!r}")
-    return None
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
-def _obs_to(f: Observable):
-    if f.kind == "frac_part":
-        return {"kind": "frac_part"}
-    if f.kind == "power_of_frac":
-        return {"kind": "power_of_frac", "p": f.params[0]}
-    if f.kind == "indicator":
-        return {"kind": "indicator", "a": f.params[0], "b": f.params[1]}
-    if f.kind == "trig_poly":
-        return {"kind": "trig_poly", "coeffs": [list(c) for c in f.params]}
-    if f.kind == "piecewise_linear":
-        return {"kind": "piecewise_linear", "knots": [list(k) for k in f.params]}
-    raise ValueError(f"observable kind {f.kind!r} has no scenario encoding")
-
-
-def _schedule_from(obj, path, errs):
-    if not isinstance(obj, dict):
-        errs.append(f"{path}: expected a schedule record")
-        return None
-    try:
-        if "checkpoints" in obj:
-            return Schedule(tuple(int(c) for c in obj["checkpoints"]))
-        n_max = obj["n_max"]
-        ratio = obj.get("ratio", 10.0 ** 0.125)
-        return Schedule.geometric(int(n_max), float(ratio))
-    except (KeyError, TypeError, ValueError) as exc:
-        errs.append(f"{path}: invalid schedule ({exc})")
-        return None
+_SCENARIO_KEYS = ("name", "job", "family", "observables", "x0", "schedule",
+                  "periodic", "indicators", "tolerance", "workers",
+                  "expected_override")
 
 
 def parse_scenario(text) -> Scenario:
     """Parse and fully validate a scenario; raises ScenarioError listing
     every violation found, not just the first."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    errs: list[str] = []
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        obj = json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:
         raise ScenarioError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(obj, dict):
         raise ScenarioError(["top level must be an object"])
+    errs = [f"unknown field {key!r}" for key in obj if key not in _SCENARIO_KEYS]
 
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
+    def get(key, typ, default=_REQUIRED):
+        if key in obj:
+            return _typed(obj[key], typ, key, errs)
+        if default is _REQUIRED:
+            errs.append(f"{key}: required")
+            return None
+        return default
+
+    def size(key, lo, hi):
+        """Length of a list-valued field, checked against [lo, hi]."""
+        v = obj.get(key)
+        if isinstance(v, list) and not lo <= len(v) <= hi:
+            errs.append(f"{key}: need {lo} to {hi} entries, got {len(v)}")
+        return len(v) if isinstance(v, list) else None
+
+    name = get("name", "string")
+    if name == "":
         errs.append("name: required nonempty string")
-        name = ""
-    job = obj.get("job", "average")
-    if job not in JOB_KINDS:
+    job = get("job", "string", "average")
+    if job is not None and job not in JOB_KINDS:
         errs.append(f"job: must be one of {JOB_KINDS}, got {job!r}")
-        job = "average"
-
-    fam_raw = obj.get("family")
-    family = []
-    if not isinstance(fam_raw, list) or not fam_raw:
-        errs.append("family: required nonempty list")
-    else:
-        for i, rec in enumerate(fam_raw):
-            s = _spec_from(rec, f"family[{i}]", errs)
-            if s is not None:
-                family.append(s)
-
-    obs = []
-    if job == "average":
-        obs_raw = obj.get("observables")
-        if not isinstance(obs_raw, list) or not obs_raw:
-            errs.append("observables: required nonempty list for average jobs")
-        else:
-            for i, rec in enumerate(obs_raw):
-                f = _obs_from(rec, f"observables[{i}]", errs)
-                if f is not None:
-                    obs.append(f)
-            if isinstance(fam_raw, list) and len(obs_raw) != len(fam_raw):
-                errs.append(f"observables: length {len(obs_raw)} does not match "
-                            f"family length {len(fam_raw)}")
-
-    indicators = []
-    if job in ("correlation", "triple"):
-        want = ("A", "B") if job == "correlation" else ("A", "B", "C")
-        need = len(want)
-        if isinstance(fam_raw, list) and len(fam_raw) != need - 1:
-            errs.append(f"family: {job} jobs need exactly {need - 1} transform(s)")
-        ind_raw = obj.get("indicators")
-        if not isinstance(ind_raw, dict):
-            errs.append(f"indicators: required object with keys {want}")
-        else:
-            for key in want:
-                if key not in ind_raw:
-                    errs.append(f"indicators.{key}: required")
-                    continue
-                f = _obs_from(ind_raw[key], f"indicators.{key}", errs)
-                if f is not None:
-                    if f.kind != "indicator":
-                        errs.append(f"indicators.{key}: must be indicator kind")
-                    else:
-                        indicators.append(f)
-
-    x0 = obj.get("x0", 0.0)
-    if not isinstance(x0, (int, float)) or isinstance(x0, bool) or not 0 <= x0 < 1:
+    family = get("family", [TRANSFORMS])
+    d = size("family", 1, dynsys.MAX_FAMILY_SIZE)
+    obs = get("observables", [OBSERVABLES], None)
+    n_obs = size("observables", 1, dynsys.MAX_FAMILY_SIZE)
+    indicators = get("indicators", _indicators, None)
+    x0 = get("x0", "number", 0.0)
+    if x0 is not None and not 0 <= x0 < 1:
         errs.append(f"x0: must be a real in [0, 1), got {x0!r}")
-        x0 = 0.0
-
-    schedule = _schedule_from(obj.get("schedule"), "schedule", errs)
-
-    periodic = None
-    if "periodic" in obj:
-        if job != "average":
-            errs.append("periodic: only valid for average jobs")
-        p = obj["periodic"]
-        if not isinstance(p, dict) or "g" not in p or "k" not in p:
-            errs.append("periodic: need an object with keys g and k")
-        else:
-            g = _obs_from(p["g"], "periodic.g", errs)
-            k = p["k"]
-            if not isinstance(k, int) or k < 1:
-                errs.append("periodic.k: need a positive integer")
-            elif g is not None:
-                periodic = (g, k)
-
-    tol = obj.get("tolerance")
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        errs.append(f"tolerance: required positive real, got {tol!r}")
-        tol = 1.0
-
-    workers = obj.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    schedule = get("schedule", _schedule)
+    periodic = get("periodic", _periodic, None)
+    tol = get("tolerance", "number")
+    if tol is not None and not tol > 0:
+        errs.append(f"tolerance: must be a positive real, got {tol!r}")
+    workers = get("workers", "integer", 1)
+    if workers is not None and workers < 1:
         errs.append(f"workers: must be a positive integer, got {workers!r}")
-        workers = 1
+    override = get("expected_override", "number", None)
 
-    override = obj.get("expected_override")
-    if override is not None and (not isinstance(override, (int, float))
-                                 or isinstance(override, bool)):
-        errs.append("expected_override: must be a number")
-        override = None
-
-    known = {"name", "job", "family", "observables", "x0", "schedule",
-             "periodic", "indicators", "tolerance", "workers",
-             "expected_override"}
-    for key in obj:
-        if key not in known:
-            errs.append(f"unknown field {key!r}")
+    if job in ("correlation", "triple"):
+        want = "AB" if job == "correlation" else "ABC"
+        if d is not None and d != len(want) - 1:
+            errs.append(f"family: {job} jobs need exactly {len(want) - 1} "
+                        f"transform(s), got {d}")
+        if "indicators" not in obj:
+            errs.append(f"indicators: required for {job} jobs")
+        elif indicators is not None:
+            errs.extend(f"indicators.{key}: required for {job} jobs"
+                        for key in want if indicators[key] is None)
+        if "periodic" in obj:
+            errs.append("periodic: only valid for average jobs")
+    elif "observables" not in obj:
+        errs.append("observables: required nonempty list for average jobs")
+    elif None not in (d, n_obs) and d != n_obs:
+        errs.append(f"observables: length {n_obs} does not match family "
+                    f"length {d}")
 
     if errs:
         raise ScenarioError(errs)
-    return Scenario(name, job, tuple(family), tuple(obs), float(x0), schedule,
-                    periodic, tuple(indicators), float(tol), workers,
-                    None if override is None else float(override))
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    out = {
-        "name": sc.name,
-        "job": sc.job,
-        "family": [_spec_to(s) for s in sc.family],
-        "x0": sc.x0,
-        "schedule": {"checkpoints": list(sc.schedule.checkpoints)},
-        "tolerance": sc.tolerance,
-        "workers": sc.workers,
-    }
-    if sc.job == "average":
-        out["observables"] = [_obs_to(f) for f in sc.observables]
+    if job == "average":
+        indicators = ()
     else:
-        keys = ("A", "B", "C")[:len(sc.indicators)]
-        out["indicators"] = {k: _obs_to(f) for k, f in zip(keys, sc.indicators)}
-    if sc.periodic is not None:
-        out["periodic"] = {"g": _obs_to(sc.periodic[0]), "k": sc.periodic[1]}
-    if sc.expected_override is not None:
-        out["expected_override"] = sc.expected_override
-    return json.dumps(out, indent=2, sort_keys=True)
+        obs, indicators = (), tuple(indicators[key] for key in want)
+    return Scenario(name, job, tuple(family), tuple(obs), float(x0), schedule,
+                    periodic, indicators, float(tol), workers,
+                    None if override is None else float(override))
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +299,7 @@ def serialize_scenario(sc: Scenario) -> str:
 def _prediction_for(sc: Scenario) -> Prediction:
     if sc.job == "average":
         fam = build_family(sc.family)
-        periodic = None
-        if sc.periodic is not None:
-            g, k = sc.periodic
-            periodic = (g, dynsys.finite_rotation(k), sc.x0)
+        periodic = None if sc.periodic is None else (*sc.periodic, sc.x0)
         return predict(fam, sc.observables, periodic=periodic)
     factors = tuple(Factor("single_integral", (i,), f.exact_integral)
                     for i, f in enumerate(sc.indicators))
@@ -359,10 +310,9 @@ def _trace_for(sc: Scenario):
     if sc.job == "average":
         fam = build_family(sc.family)
         if sc.periodic is not None:
-            g, k = sc.periodic
+            g, s_map = sc.periodic
             return engine.periodic_factor_average(
-                fam, sc.observables, g, dynsys.finite_rotation(k), sc.x0,
-                sc.schedule, sc.workers)
+                fam, sc.observables, g, s_map, sc.x0, sc.schedule, sc.workers)
         return engine.multiple_average(fam, sc.observables, sc.x0, sc.schedule,
                                        sc.workers)
     if sc.job == "correlation":
@@ -426,12 +376,21 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
 
 
 # ---------------------------------------------------------------------------
-# built-in verification suite
+# verification table
+#
+# Each criterion takes (schedule, workers, tol_scale) and returns its rows.
+# ``torusavg verify`` prints the whole table and tests/test_acceptance.py
+# asserts it, so the checks and their expected values live here only.
+# tol_scale relaxes only the finite-N statistical tolerances, never the
+# exact identities.
 
 
 _SQRT2 = ScalarConstant.surd(0, 1, 2)
 _SQRT3 = ScalarConstant.surd(0, 1, 3)
 _SQRT5 = ScalarConstant.surd(0, 1, 5)
+_R2 = dynsys.rotation(_SQRT2, "R_sqrt2")
+_R3 = dynsys.rotation(_SQRT3, "R_sqrt3")
+_FP = observables.frac_part()
 
 
 def _row(name, measured, expected, tol):
@@ -439,114 +398,79 @@ def _row(name, measured, expected, tol):
             "tol": tol, "passed": abs(measured - expected) <= tol}
 
 
-def verify_builtin(n_max: int = 10 ** 6, workers: int = 1,
-                   tol_scale: float = 1.0, seed: int = 20240824):
-    """Run the built-in verification table; returns (rows, all_passed).
+def distinct_rotations(sched, workers, tol_scale):
+    fam = build_family([_R2, _R3])
+    return [_row(f"distinct-rotations x0={x0}",
+                 engine.multiple_average(fam, [_FP, _FP], x0, sched,
+                                         workers).final,
+                 0.25, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
 
-    tol_scale relaxes only the finite-N statistical tolerances, never the
-    exact identities.
-    """
-    rows = []
-    sched = Schedule.geometric(n_max)
-    r2 = dynsys.rotation(_SQRT2, "R_sqrt2")
-    r3 = dynsys.rotation(_SQRT3, "R_sqrt3")
-    fp = observables.frac_part()
 
-    for x0 in (0.0, 0.3, 0.77):
-        tr = engine.multiple_average(build_family([r2, r3]), [fp, fp], x0,
-                                     sched, workers)
-        rows.append(_row(f"distinct-rotations x0={x0}", tr.final, 0.25,
-                         2e-3 * tol_scale))
-    for x0 in (0.0, 0.3, 0.77):
-        tr = engine.multiple_average(build_family([r2, r2]), [fp, fp], x0,
-                                     sched, workers)
-        rows.append(_row(f"repeated-rotation x0={x0}", tr.final, 1 / 3,
-                         2e-3 * tol_scale))
-    for k in (2, 3, 5):
-        for x0 in (0.1, 0.37):
-            tr = engine.periodic_factor_average(
-                build_family([r2]), [fp], fp, dynsys.finite_rotation(k), x0,
-                sched, workers)
-            expected = frac(k * x0) / (2 * k) + (k - 1) / (4 * k)
-            rows.append(_row(f"periodic-factor k={k} x0={x0}", tr.final,
-                             expected, 2e-3 * tol_scale))
-    tr = engine.birkhoff_average(r2, fp, 0.3, sched, workers)
-    rows.append(_row("birkhoff frac-part", tr.final, 0.5, 1e-3 * tol_scale))
+def repeated_rotation(sched, workers, tol_scale):
+    fam = build_family([_R2, _R2])
+    return [_row(f"repeated-rotation x0={x0}",
+                 engine.multiple_average(fam, [_FP, _FP], x0, sched,
+                                         workers).final,
+                 1 / 3, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
 
-    rng = random.Random(seed)
-    worst = 0.0
+
+def periodic_factor(sched, workers, tol_scale):
+    return [_row(f"periodic-factor k={k} x0={x0}",
+                 engine.periodic_factor_average(
+                     build_family([_R2]), [_FP], _FP, dynsys.finite_rotation(k),
+                     x0, sched, workers).final,
+                 frac(k * x0) / (2 * k) + (k - 1) / (4 * k), 2e-3 * tol_scale)
+            for k in (2, 3, 5) for x0 in (0.1, 0.37)]
+
+
+def birkhoff_frac_part(sched, workers, tol_scale):
+    tr = engine.birkhoff_average(_R2, _FP, 0.3, sched, workers)
+    return [_row("birkhoff frac-part", tr.final, 0.5, 1e-3 * tol_scale)]
+
+
+def shifted_frac_identity(sched, workers, tol_scale):
+    rng = random.Random(20240824)
     xs = [rng.random() for _ in range(10_000)]
-    for k in range(1, 65):
-        for x in xs:
-            dev = abs(sum_shifted_frac(x, k) - (frac(k * x) + (k - 1) / 2))
-            if dev > worst:
-                worst = dev
-    rows.append(_row("shifted-frac identity (max dev)", worst, 0.0, 1e-12))
+    worst = max(abs(sum_shifted_frac(x, k) - (frac(k * x) + (k - 1) / 2))
+                for k in range(1, 65) for x in xs)
+    return [_row("shifted-frac identity (max dev)", worst, 0.0, 1e-12)]
 
+
+def correlation_diagnostic(sched, workers, tol_scale):
     A, B = observables.indicator(0.0, 0.3), observables.indicator(0.2, 0.7)
-    tr = engine.correlation_average(r2, A, B, sched, workers)
-    rows.append(_row("correlation sqrt2", tr.final, 0.15, 5e-3 * tol_scale))
+    tr = engine.correlation_average(_R2, A, B, sched, workers)
+    # refutation path: the identity map keeps len(A n B) = 0.5, far from the
+    # product 0.25 that an ergodic limit would demand
     half = observables.indicator(0.0, 0.5)
-    tr = engine.correlation_average(dynsys.identity(), half, half, sched, workers)
-    rows.append(_row("identity-map control (non-ergodic)", tr.final, 0.5, 1e-12))
+    ctl = engine.correlation_average(dynsys.identity(), half, half, sched,
+                                     workers)
+    return [_row("correlation sqrt2", tr.final, 0.15, 5e-3 * tol_scale),
+            _row("identity-map control (non-ergodic)", ctl.final, 0.5, 1e-12)]
 
-    tr = engine.triple_intersection_average(r2, r3, half, half, half, sched,
+
+def triple_intersection(sched, workers, tol_scale):
+    half = observables.indicator(0.0, 0.5)
+    tr = engine.triple_intersection_average(_R2, _R3, half, half, half, sched,
                                             workers)
-    rows.append(_row("triple intersection", tr.final, 0.125, 5e-3 * tol_scale))
+    return [_row("triple intersection", tr.final, 0.125, 5e-3 * tol_scale)]
 
-    consts = (_SQRT2, _SQRT3, _SQRT5)
+
+def randomized_oracle_cross_validation(sched, workers, tol_scale):
+    rng = random.Random(20240824)
     worst = 0.0
     for _ in range(20):
         d = rng.choice((2, 3))
-        fam = build_family([dynsys.rotation(rng.choice(consts))
+        fam = build_family([dynsys.rotation(rng.choice((_SQRT2, _SQRT3, _SQRT5)))
                             for _ in range(d)])
         fs = [observables.trig_poly(
-            [(kf, rng.uniform(-1, 1), rng.uniform(-1, 1))
-             for kf in range(6)]) for _ in range(d)]
-        x0 = rng.random()
+            [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(6)])
+            for _ in range(d)]
         pred = predict(fam, fs)
-        tr = engine.multiple_average(fam, fs, x0, sched, workers)
-        worst = max(worst, abs(tr.final - pred.value))
-    rows.append(_row("randomized oracle cross-validation (max dev)", worst,
-                     0.0, 5e-3 * tol_scale))
-
-    worst = 0.0
-    for _ in range(50):
-        f1, f2 = (_random_observable(rng) for _ in range(2))
-        p_pair = predict(build_family([r2, r2]), [f1, f2])
-        p_prod = predict(build_family([r2]), [observables.product(f1, f2)])
-        worst = max(worst, abs(p_pair.value - p_prod.value))
-    rows.append(_row("group-collapse equivalence (max dev)", worst, 0.0, 1e-12))
-
-    base = engine.multiple_average(build_family([r2, r3]), [fp, fp], 0.3,
-                                   sched, 1)
-    worst = 0.0
-    for w in (2, 4, 8):
-        other = engine.multiple_average(build_family([r2, r3]), [fp, fp], 0.3,
-                                        sched, w)
-        worst = max(worst, max(abs(a - b)
-                               for a, b in zip(base.values, other.values)))
-    rows.append(_row("parallel consistency (max dev)", worst, 0.0, 1e-13))
-    again = engine.multiple_average(build_family([r2, r3]), [fp, fp], 0.3,
-                                    sched, workers)
-    rows.append(_row("repeat-run determinism",
-                     0.0 if again.values == base.values else 1.0, 0.0, 0.0))
-
-    v = rational_independence([ScalarConstant.rational(1, 2)], 10, 1e-9)
-    rows.append(_row("independence (1/2) -> (1,-2)",
-                     0.0 if v.relation == (1, -2) else 1.0, 0.0, 0.0))
-    v = rational_independence([_SQRT2, ScalarConstant.surd(0, 1, 8)], 10, 1e-9)
-    rows.append(_row("independence (sqrt2,sqrt8) -> (0,2,-1)",
-                     0.0 if v.relation == (0, 2, -1) else 1.0, 0.0, 0.0))
-    v = rational_independence([_SQRT2, _SQRT3], 10, 1e-9)
-    rows.append(_row("independence (sqrt2,sqrt3) unresolved at bound 10",
-                     0.0 if v.status == "independent-up-to-bound" else 1.0,
-                     0.0, 0.0))
-
-    rows.append(_row("quadrature int {x}", integrate([fp]), 0.5, 1e-12))
-    rows.append(_row("quadrature int {x}^2", integrate([fp, fp]), 1 / 3, 1e-12))
-
-    return rows, all(r["passed"] for r in rows)
+        tr = engine.multiple_average(fam, fs, rng.random(), sched, workers)
+        worst = max(worst, abs(tr.final - pred.value) if pred.applicable
+                    else math.inf)
+    return [_row("randomized oracle cross-validation (max dev)", worst, 0.0,
+                 5e-3 * tol_scale)]
 
 
 def _random_observable(rng):
@@ -566,7 +490,74 @@ def _random_observable(rng):
         [(0.0, rng.uniform(-1, 1))] + [(p, rng.uniform(-1, 1)) for p in knots])
 
 
-def _print_rows(rows):
+def group_collapse_equivalence(sched, workers, tol_scale):
+    rng = random.Random(99)
+    worst = 0.0
+    for _ in range(50):
+        f1, f2 = _random_observable(rng), _random_observable(rng)
+        p_pair = predict(build_family([_R2, _R2]), [f1, f2])
+        p_prod = predict(build_family([_R2]), [observables.product(f1, f2)])
+        worst = max(worst, abs(p_pair.value - p_prod.value))
+    return [_row("group-collapse equivalence (max dev)", worst, 0.0, 1e-12)]
+
+
+def determinism_and_parallel_consistency(sched, workers, tol_scale):
+    jobs = (
+        lambda w: engine.multiple_average(build_family([_R2, _R3]), [_FP, _FP],
+                                          0.3, sched, w),
+        lambda w: engine.multiple_average(build_family([_R2, _R2]), [_FP, _FP],
+                                          0.3, sched, w),
+        lambda w: engine.periodic_factor_average(
+            build_family([_R2]), [_FP], _FP, dynsys.finite_rotation(3), 0.37,
+            sched, w),
+    )
+    worst, repeats = 0.0, True
+    for job in jobs:
+        base = job(1)
+        for w in (2, 4, 8):
+            worst = max(worst, max(abs(a - b) for a, b
+                                   in zip(base.values, job(w).values)))
+        repeats = job(workers).values == base.values and repeats
+    return [_row("parallel consistency (max dev)", worst, 0.0, 1e-13),
+            _row("repeat-run determinism", 0.0 if repeats else 1.0, 0.0, 0.0)]
+
+
+def independence_verdicts(sched, workers, tol_scale):
+    cases = (
+        ("independence (1/2) -> (1,-2)", [ScalarConstant.rational(1, 2)],
+         lambda v: v.status == "dependent" and v.relation == (1, -2)),
+        ("independence (sqrt2,sqrt8) -> (0,2,-1)",
+         [_SQRT2, ScalarConstant.surd(0, 1, 8)],
+         lambda v: v.status == "dependent" and v.relation == (0, 2, -1)),
+        ("independence (sqrt2,sqrt3) unresolved at bound 10", [_SQRT2, _SQRT3],
+         lambda v: v.status == "independent-up-to-bound" and v.bound == 10),
+    )
+    return [_row(name, 0.0 if ok(rational_independence(cs, 10, 1e-9)) else 1.0,
+                 0.0, 0.0) for name, cs, ok in cases]
+
+
+def quadrature(sched, workers, tol_scale):
+    return [_row("quadrature int {x}", integrate([_FP]), 0.5, 1e-12),
+            _row("quadrature int {x}^2", integrate([_FP, _FP]), 1 / 3, 1e-12)]
+
+
+CRITERIA = (distinct_rotations, repeated_rotation, periodic_factor,
+            birkhoff_frac_part, shifted_frac_identity, correlation_diagnostic,
+            triple_intersection, randomized_oracle_cross_validation,
+            group_collapse_equivalence, determinism_and_parallel_consistency,
+            independence_verdicts, quadrature)
+
+
+def verify_builtin(n_max: int = 10 ** 6, workers: int = 1,
+                   tol_scale: float = 1.0):
+    """Run the verification table; returns (rows, all_passed)."""
+    sched = Schedule.geometric(n_max)
+    rows = [row for criterion in CRITERIA
+            for row in criterion(sched, workers, tol_scale)]
+    return rows, all(r["passed"] for r in rows)
+
+
+def print_rows(rows):
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         mark = "PASS" if r["passed"] else "FAIL"
@@ -627,7 +618,7 @@ def main(argv=None) -> int:
     tol_scale = 3.0 if args.quick else 1.0
     rows, ok = verify_builtin(n_max=n_max, workers=args.workers,
                               tol_scale=tol_scale)
-    _print_rows(rows)
+    print_rows(rows)
     print(f"{sum(r['passed'] for r in rows)}/{len(rows)} checks passed "
           f"at N={n_max}")
     return 0 if ok else 1

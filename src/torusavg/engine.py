@@ -49,7 +49,8 @@ class Schedule:
             raise ValueError("ratio must exceed 1")
         cs, j = [], 0
         while True:
-            c = math.ceil(first * ratio ** j)
+            x = first * ratio ** j  # inf for a huge ratio
+            c = math.ceil(x) if x < n_max else n_max
             if c >= n_max:
                 break
             if not cs or c > cs[-1]:

@@ -8,6 +8,7 @@ closed form.  Values at breakpoints follow the right-limit convention.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +40,7 @@ def frac_part() -> Observable:
 
 def power_of_frac(p: int) -> Observable:
     """x -> {x}**p."""
+    p = operator.index(p)
     if p < 1:
         raise ValueError("power must be a positive integer")
     return Observable("power_of_frac", params=(p,), breakpoints=(0.0,),
@@ -55,7 +57,7 @@ def indicator(a: float, b: float) -> Observable:
 
 def trig_poly(coeffs) -> Observable:
     """Finite sum of cos/sin harmonics; coeffs are (freq, cos_amp, sin_amp)."""
-    coeffs = tuple((int(k), float(c), float(s)) for k, c, s in coeffs)
+    coeffs = tuple((operator.index(k), float(c), float(s)) for k, c, s in coeffs)
     const = sum(c for k, c, s in coeffs if k == 0)
     return Observable("trig_poly", params=coeffs, exact_integral=const)
 

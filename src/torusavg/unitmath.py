@@ -62,6 +62,8 @@ class ScalarConstant:
 
     @staticmethod
     def rational(p, q=1) -> "ScalarConstant":
+        if q < 1:
+            raise ValueError("rational denominator must be a positive integer")
         return ScalarConstant("rational", rat=Fraction(p, q))
 
     @staticmethod
@@ -216,25 +218,8 @@ class CompensatedSum:
         if math.isinf(s):
             raise OverflowError("compensated sum overflowed")
 
-    def merge(self, other: "CompensatedSum"):
-        self.add(other._s)
-        self._c += other._c
-
     def value(self) -> float:
         return self._s + self._c
-
-
-def compensated_sum_init() -> CompensatedSum:
-    return CompensatedSum()
-
-
-def compensated_sum_add(acc: CompensatedSum, term: float) -> CompensatedSum:
-    acc.add(term)
-    return acc
-
-
-def compensated_sum_value(acc: CompensatedSum) -> float:
-    return acc.value()
 
 
 def sum_shifted_frac(x: float, k: int) -> float:

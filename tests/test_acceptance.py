@@ -1,179 +1,25 @@
 """End-to-end acceptance checks at desk scale (N = 1e6).
 
-Each test prints one pass/fail line so the whole table can be read off a
-verbose pytest run; the same quantities are available from the command line
-via ``torusavg verify``.
+The verification table is defined once, as ``torusavg.cli.CRITERIA``;
+``torusavg verify`` prints the same rows.  Each criterion becomes one test
+here, and each of its rows prints one PASS/FAIL line, so the whole table can
+be read off ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import random
+from torusavg.cli import CRITERIA, print_rows
+from torusavg.engine import Schedule
 
-import pytest
-
-from torusavg.dynsys import build_family, finite_rotation, identity, rotation
-from torusavg.engine import (Schedule, birkhoff_average, correlation_average,
-                             multiple_average, periodic_factor_average,
-                             triple_intersection_average)
-from torusavg.observables import (frac_part, indicator, integrate,
-                                  piecewise_linear, power_of_frac, product,
-                                  trig_poly)
-from torusavg.oracle import predict
-from torusavg.unitmath import (ScalarConstant, frac, rational_independence,
-                               sum_shifted_frac)
-
-N_MAX = 10 ** 6
-SCHED = Schedule.geometric(N_MAX)
-SQRT2 = ScalarConstant.surd(0, 1, 2)
-SQRT3 = ScalarConstant.surd(0, 1, 3)
-SQRT5 = ScalarConstant.surd(0, 1, 5)
-R2, R3 = rotation(SQRT2, "R_sqrt2"), rotation(SQRT3, "R_sqrt3")
-FP = frac_part()
+SCHED = Schedule.geometric(10 ** 6)
 
 
-def report(name, measured, expected, tol):
-    ok = abs(measured - expected) <= tol
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: measured={measured:.12g} "
-          f"expected={expected:.12g} tol={tol:.1e}")
-    assert ok, f"{name}: |{measured} - {expected}| > {tol}"
+def _acceptance_test(criterion):
+    def test():
+        rows = criterion(SCHED, 1, 1.0)
+        print_rows(rows)
+        assert all(r["passed"] for r in rows), rows
+    return test
 
 
-def test_criterion_01_distinct_rotations():
-    fam = build_family([R2, R3])
-    for x0 in (0.0, 0.3, 0.77):
-        tr = multiple_average(fam, [FP, FP], x0, SCHED)
-        report(f"distinct rotations, x0={x0}", tr.final, 0.25, 2e-3)
-
-
-def test_criterion_02_repeated_rotation():
-    fam = build_family([R2, R2])
-    for x0 in (0.0, 0.3, 0.77):
-        tr = multiple_average(fam, [FP, FP], x0, SCHED)
-        report(f"repeated rotation, x0={x0}", tr.final, 1 / 3, 2e-3)
-
-
-def test_criterion_03_periodic_factor():
-    fam = build_family([R2])
-    for k in (2, 3, 5):
-        for x0 in (0.1, 0.37):
-            tr = periodic_factor_average(fam, [FP], FP, finite_rotation(k),
-                                         x0, SCHED)
-            expected = frac(k * x0) / (2 * k) + (k - 1) / (4 * k)
-            report(f"periodic factor k={k}, x0={x0}", tr.final, expected, 2e-3)
-
-
-def test_criterion_04_birkhoff_frac_part():
-    tr = birkhoff_average(R2, FP, 0.3, SCHED)
-    report("birkhoff average of {x}", tr.final, 0.5, 1e-3)
-
-
-def test_criterion_05_shifted_frac_identity():
-    rng = random.Random(20240824)
-    xs = [rng.random() for _ in range(10_000)]
-    worst = 0.0
-    for k in range(1, 65):
-        for x in xs:
-            dev = abs(sum_shifted_frac(x, k) - (frac(k * x) + (k - 1) / 2))
-            worst = max(worst, dev)
-    report("shifted fractional-part identity, max dev", worst, 0.0, 1e-12)
-
-
-def test_criterion_06_correlation_diagnostic():
-    A, B = indicator(0.0, 0.3), indicator(0.2, 0.7)
-    tr = correlation_average(R2, A, B, SCHED)
-    report("correlation under an ergodic rotation", tr.final, 0.15, 5e-3)
-    # refutation path: the identity map's correlation stays at len(A n B),
-    # far from the product 0.25 the ergodic limit would demand
-    half = indicator(0.0, 0.5)
-    ctl = correlation_average(identity(), half, half, SCHED)
-    report("identity-map control (must NOT equal 0.25)", ctl.final, 0.5, 1e-12)
-    assert abs(ctl.final - 0.25) > 5e-3
-
-
-def test_criterion_07_triple_intersection():
-    half = indicator(0.0, 0.5)
-    tr = triple_intersection_average(R2, R3, half, half, half, SCHED)
-    report("triple intersection", tr.final, 0.125, 5e-3)
-
-
-def test_criterion_08_randomized_oracle_cross_validation():
-    rng = random.Random(20240824)
-    consts = (SQRT2, SQRT3, SQRT5)
-    worst = 0.0
-    for _ in range(20):
-        d = rng.choice((2, 3))
-        fam = build_family([rotation(rng.choice(consts)) for _ in range(d)])
-        fs = [trig_poly([(k, rng.uniform(-1, 1), rng.uniform(-1, 1))
-                         for k in range(6)]) for _ in range(d)]
-        pred = predict(fam, fs)
-        assert pred.applicable
-        tr = multiple_average(fam, fs, rng.random(), SCHED)
-        worst = max(worst, abs(tr.final - pred.value))
-    report("randomized oracle cross-validation, max dev", worst, 0.0, 5e-3)
-
-
-def _random_observable(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return frac_part()
-    if kind == 1:
-        return power_of_frac(rng.randint(1, 4))
-    if kind == 2:
-        a = rng.uniform(0.0, 0.8)
-        return indicator(a, a + rng.uniform(0.05, 1.0 - a))
-    if kind == 3:
-        return trig_poly([(k, rng.uniform(-1, 1), rng.uniform(-1, 1))
-                          for k in range(4)])
-    knots = sorted(rng.uniform(0.01, 0.99) for _ in range(3))
-    return piecewise_linear([(0.0, rng.uniform(-1, 1))]
-                            + [(p, rng.uniform(-1, 1)) for p in knots])
-
-
-def test_criterion_09_group_collapse_equivalence():
-    rng = random.Random(99)
-    worst = 0.0
-    for _ in range(50):
-        f1, f2 = _random_observable(rng), _random_observable(rng)
-        p_pair = predict(build_family([R2, R2]), [f1, f2])
-        p_prod = predict(build_family([R2]), [product(f1, f2)])
-        worst = max(worst, abs(p_pair.value - p_prod.value))
-    report("group-collapse equivalence, max dev", worst, 0.0, 1e-12)
-
-
-def test_criterion_10_determinism_and_parallel_consistency():
-    jobs = [
-        lambda w: multiple_average(build_family([R2, R3]), [FP, FP], 0.3,
-                                   SCHED, workers=w),
-        lambda w: multiple_average(build_family([R2, R2]), [FP, FP], 0.3,
-                                   SCHED, workers=w),
-        lambda w: periodic_factor_average(build_family([R2]), [FP], FP,
-                                          finite_rotation(3), 0.37, SCHED,
-                                          workers=w),
-    ]
-    worst = 0.0
-    for job in jobs:
-        base = job(1)
-        for w in (2, 4, 8):
-            other = job(w)
-            worst = max(worst, max(abs(a - b) for a, b
-                                   in zip(base.values, other.values)))
-        again = job(1)
-        assert again.values == base.values  # byte-identical repeat
-    report("parallel consistency, max dev over workers {1,2,4,8}",
-           worst, 0.0, 1e-13)
-
-
-def test_criterion_11_independence_verdicts():
-    v = rational_independence([ScalarConstant.rational(1, 2)], bound=10,
-                              tol=1e-9)
-    ok1 = v.status == "dependent" and v.relation == (1, -2)
-    v = rational_independence([SQRT2, ScalarConstant.surd(0, 1, 8)], bound=10,
-                              tol=1e-9)
-    ok2 = v.status == "dependent" and v.relation == (0, 2, -1)
-    v = rational_independence([SQRT2, SQRT3], bound=10, tol=1e-9)
-    ok3 = v.status == "independent-up-to-bound" and v.bound == 10
-    report("independence verdicts (all three cases)",
-           float(ok1 and ok2 and ok3), 1.0, 0.0)
-
-
-def test_criterion_12_quadrature():
-    report("quadrature of {x}", integrate([FP]), 0.5, 1e-12)
-    report("quadrature of {x}^2", integrate([FP, FP]), 1 / 3, 1e-12)
+for _i, _criterion in enumerate(CRITERIA, 1):
+    _name = f"test_criterion_{_i:02d}_{_criterion.__name__}"
+    globals()[_name] = _acceptance_test(_criterion)

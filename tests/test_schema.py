@@ -1,0 +1,197 @@
+"""The shipped JSON schema and ``parse_scenario`` accept the same scenarios.
+
+Generated documents mix well-formed fields with mistyped, missing and unknown
+ones.  A few rules relate several fields, so JSON Schema cannot state them
+(the schema's description lists them); the parser must refuse every
+document that breaks one, and on all other documents the two must agree.
+"""
+
+import json
+from importlib import resources
+
+import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
+
+SCENARIOS = resources.files("torusavg") / "scenarios"
+SCHEMA = json.loads((SCENARIOS / "scenario.schema.json").read_text())
+# JSON Schema counts 1.0 as an integer; scenario integers are integer
+# literals, as the schema's description says.
+Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
+
+def test_shipped_scenarios_match_schema():
+    Validator.check_schema(SCHEMA)
+    names = [p.name for p in SCENARIOS.iterdir() if p.name.endswith(".json")
+             and p.name != "scenario.schema.json"]
+    assert len(names) >= 6
+    for n in names:
+        jsonschema.validate(json.loads((SCENARIOS / n).read_text()), SCHEMA,
+                            cls=Validator)
+
+
+# ---------------------------------------------------------------------------
+# generated documents
+
+
+def rarely(good, bad, one_in=25):
+    # the simplest draw, 0, picks good: hypothesis falls back to simplest
+    # draws when an example grows large
+    return st.integers(0, one_in - 1).flatmap(
+        lambda i: bad if i == one_in - 1 else good)
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-1, 2),
+                 st.sampled_from([0.5, 2.5, 1000.9, 3.0, -1.5]),
+                 st.sampled_from(["", "x", "1", "1/2"]), st.just([]),
+                 st.just({}))
+
+
+def typo(good):
+    """good, now and then replaced by a value of some other JSON type."""
+    return rarely(good, JUNK)
+
+
+def record(required, optional=None):
+    """A JSON object; now and then keys go missing or an unknown one joins."""
+    req = {k: typo(v) for k, v in required.items()}
+    opt = {k: typo(v) for k, v in (optional or {}).items()}
+    return rarely(st.fixed_dictionaries(req, optional=opt),
+                  st.fixed_dictionaries({}, optional={**req, **opt,
+                                                      "extra": JUNK}))
+
+
+def row(*types):
+    return rarely(st.tuples(*map(typo, types)).map(list),
+                  st.lists(st.integers(0, 2), max_size=4))
+
+
+COUNT = rarely(st.integers(1, 12), st.integers(-1, 0))
+UNIT = rarely(st.floats(0, 1, exclude_max=True), st.floats(-0.25, 1.25))
+NUM = st.one_of(st.floats(-2, 2), st.integers(-2, 2))
+FRACTION = st.one_of(st.integers(-3, 3), rarely(
+    st.sampled_from(["1/2", "-3/4", "7"]),
+    st.sampled_from(["2/0", "0.5", "abc", "", "1/2/3", "+1", " 1"]), 3))
+constant = rarely(st.one_of(
+    st.fixed_dictionaries({"rational": record({"p": st.integers(-3, 3)},
+                                              {"q": COUNT})}),
+    st.fixed_dictionaries({"surd": record({"m": COUNT},
+                                          {"a": FRACTION, "b": FRACTION})}),
+    st.fixed_dictionaries({"literal": typo(NUM)})),
+    st.just({"rational": {"p": 1}, "literal": 0.5}))
+label = {"label": st.sampled_from(["", "R"])}
+transform = st.one_of(
+    record({"kind": st.just("rotation"), "alpha": constant}, label),
+    record({"kind": st.just("rotation_power"), "alpha": constant, "p": COUNT},
+           label),
+    record({"kind": st.just("finite_rotation"), "q": COUNT}, label))
+knots = rarely(
+    st.tuples(st.lists(st.floats(0.01, 0.99), unique=True, max_size=2),
+              st.lists(NUM, min_size=3, max_size=3)).map(
+        lambda t: [[p, v] for p, v in zip([0.0, *sorted(t[0])], t[1])]),
+    st.lists(row(UNIT, NUM), max_size=3), 8)
+indicator = rarely(
+    st.tuples(st.floats(0, 0.5), st.floats(0.5, 1)).flatmap(
+        lambda ab: record({"kind": st.just("indicator"), "a": st.just(ab[0]),
+                           "b": st.just(ab[1])})),
+    record({"kind": st.just("indicator"), "a": UNIT, "b": UNIT}), 8)
+observable = st.one_of(
+    record({"kind": st.just("frac_part")}),
+    record({"kind": st.just("power_of_frac"), "p": COUNT}),
+    indicator,
+    record({"kind": st.just("trig_poly"),
+            "coeffs": st.lists(row(st.integers(-3, 6), NUM, NUM),
+                               max_size=3)}),
+    record({"kind": st.just("piecewise_linear"), "knots": knots}))
+# Ratios just above 1 make very long geometric schedules, so ratios are
+# drawn from a fixed list.
+schedule = rarely(st.one_of(
+    record({"n_max": rarely(st.integers(1, 10 ** 6), st.sampled_from(
+        [-1, 0, 2 ** 62, 2 ** 62 + 1]))},
+           {"ratio": st.sampled_from([0.5, 1, 1.25, 10 ** 0.125, 2, 1e308])}),
+    record({"checkpoints": rarely(
+        st.lists(st.integers(1, 10 ** 6), unique=True, min_size=1,
+                 max_size=3).map(sorted),
+        st.lists(st.one_of(st.integers(-1, 3), st.just(2 ** 62 + 1)),
+                 max_size=3), 8)})),
+    st.just({"n_max": 100, "checkpoints": [100]}))
+
+
+@st.composite
+def scenario(draw):
+    job = draw(rarely(st.sampled_from(JOB_KINDS), st.just("other")))
+    d = {"correlation": 1, "triple": 2}.get(job) or draw(st.integers(1, 3))
+    family = draw(rarely(st.lists(transform, min_size=d, max_size=d),
+                         st.lists(transform, max_size=9), 8))
+    obs = draw(rarely(st.lists(observable, min_size=d, max_size=d),
+                      st.lists(observable, max_size=9), 8))
+    want = "AB" if job == "correlation" else "ABC"
+    indicators = record({key: indicator for key in want},
+                        {key: indicator for key in "C" if key not in want})
+    periodic = record({"g": observable, "k": COUNT})
+    required = {"name": rarely(st.just("s"), st.just("")),
+                "family": st.just(family), "schedule": schedule,
+                "tolerance": rarely(st.floats(1e-3, 1), st.floats(-0.5, 0))}
+    optional = {"x0": UNIT, "workers": COUNT, "expected_override": NUM}
+    if job == "average":
+        required["observables"] = st.just(obs)
+        optional.update(job=st.just(job), indicators=indicators,
+                        periodic=periodic)
+    else:
+        required.update(job=st.just(job), indicators=indicators)
+        optional.update(observables=st.just(obs), periodic=periodic)
+    return draw(record(required, optional))
+
+
+def _nodes(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else (
+        node if isinstance(node, list) else ())
+    for child in children:
+        yield from _nodes(child)
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _breaks_cross_field_rule(doc) -> bool:
+    """Indicator a < b; an average job has as many observables as
+    transforms; checkpoints strictly increase; knots strictly increase from
+    position 0."""
+    def increasing(xs):
+        return all(map(_number, xs)) and all(a < b for a, b in zip(xs, xs[1:]))
+
+    for r in filter(lambda n: isinstance(n, dict), _nodes(doc)):
+        a, b, kts, cps = (r.get(k) for k in ("a", "b", "knots", "checkpoints"))
+        if r.get("kind") == "indicator" and _number(a) and _number(b) and a >= b:
+            return True
+        if (r.get("kind") == "piecewise_linear" and isinstance(kts, list)
+                and all(isinstance(k, list) and k for k in kts)):
+            pos = [k[0] for k in kts]
+            if not (pos and pos[0] == 0 and increasing(pos)):
+                return True
+        if isinstance(cps, list) and all(map(_number, cps)) and not increasing(cps):
+            return True
+    fam, obs = doc.get("family"), doc.get("observables")
+    return (doc.get("job", "average") == "average" and isinstance(fam, list)
+            and isinstance(obs, list) and len(fam) != len(obs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario())
+def test_schema_and_parser_agree(doc):
+    try:
+        parse_scenario(json.dumps(doc))
+        parsed = True
+    except ScenarioError:
+        parsed = False
+    if _breaks_cross_field_rule(doc):
+        assert not parsed
+    else:
+        assert parsed == Validator(SCHEMA).is_valid(doc)

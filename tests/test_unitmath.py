@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
-                               compensated_sum_add, compensated_sum_init,
-                               compensated_sum_value, frac, orbit_point,
-                               rational_independence, sum_shifted_frac)
+                               frac, orbit_point, rational_independence,
+                               sum_shifted_frac)
 
 mp.mp.dps = 40
 
@@ -121,10 +120,10 @@ def test_scalar_subtraction():
 
 
 def test_compensated_sum_ones():
-    acc = compensated_sum_init()
+    acc = CompensatedSum()
     for _ in range(10 ** 6):
-        compensated_sum_add(acc, 1.0)
-    assert compensated_sum_value(acc) == 1_000_000.0
+        acc.add(1.0)
+    assert acc.value() == 1_000_000.0
 
 
 def test_compensated_sum_tenths():
@@ -140,21 +139,6 @@ def test_compensated_sum_cancellation_witness():
     for t in (1e16, 1.0, -1e16):
         acc.add(t)
     assert acc.value() == 1.0
-
-
-def test_compensated_sum_merge_matches_single_stream():
-    rng = random.Random(7)
-    terms = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(2000)]
-    whole = CompensatedSum()
-    for t in terms:
-        whole.add(t)
-    left, right = CompensatedSum(), CompensatedSum()
-    for t in terms[:1000]:
-        left.add(t)
-    for t in terms[1000:]:
-        right.add(t)
-    left.merge(right)
-    assert left.value() == pytest.approx(whole.value(), rel=1e-14, abs=1e-14)
 
 
 def test_compensated_sum_overflow_reported():
