@@ -3,7 +3,7 @@
 Scalar functions work on (hi, lo) pairs of Python floats.  The ``v_``
 prefixed variants are numpy-vectorized and only keep as much of the
 expansion as the streaming engine needs (the final orbit point is a
-plain float64 anyway).
+plain float64 anyway), except ``v_sum``, which is exact.
 """
 
 import math
@@ -131,3 +131,39 @@ def v_frac(h, l):
     out = np.where(out >= 1.0, out - 1.0, out)
     out = np.where(out < 0.0, out + 1.0, out)
     return np.where(out >= 1.0, 0.0, out)
+
+
+_SUM_PASSES = 4
+# below this length fsum over a list beats the passes' fixed numpy cost
+_SUM_MIN_VECTOR = 512
+
+
+def v_sum(a) -> float:
+    """Exactly rounded sum of a float64 vector: ``math.fsum(a.tolist())``,
+    bit for bit, from element-wise IEEE operations.
+
+    Each pass splits r = q + r' exactly with q = (sigma + r) - sigma, where
+    sigma = 2**(e+m), 2**e > max|r| and 2**m >= len(r) + 2 (ExtractVector of
+    Rump, Ogita and Oishi, "Accurate floating-point summation, Part I",
+    SIAM J. Sci. Comput. 31(1), 2008).  The q are multiples of
+    2**(e+m-53) below 2**e, so numpy sums them exactly in any order.  The
+    pass sums and the residues left after the last pass go to fsum.
+    Short vectors, non-finite input and input near the overflow threshold
+    go to fsum directly, which keeps its NaN/inf results and exceptions.
+    """
+    if len(a) < _SUM_MIN_VECTOR:
+        return math.fsum(a.tolist())
+    m = (len(a) + 1).bit_length()
+    q = np.abs(a)
+    big = float(q.max())
+    if not math.isfinite(big) or big == 0.0 or math.frexp(big)[1] + m > 1023:
+        return math.fsum(a.tolist())
+    r, sums = a.copy(), []
+    while big and len(sums) < _SUM_PASSES:
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + m)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        sums.append(float(q.sum()))
+        big = float(np.abs(r, out=q).max())
+    return math.fsum(sums + r[r != 0].tolist())

@@ -1,14 +1,16 @@
 """Streaming diagonal averages along rotation orbits.
 
 Orbits are evaluated blockwise as {x0 + n*alpha} with double-double product
-reduction (never iterated additions), block sums are exact (math.fsum) and
-merged through a Neumaier accumulator in fixed block order, so traces are
-bitwise reproducible for any worker count.
+reduction (never iterated additions), block sums are exactly rounded by an
+error-free vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit)
+and merged through a Neumaier accumulator in fixed block order, so traces
+are bitwise reproducible for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -21,7 +23,10 @@ from .observables import Observable, evaluate_array
 from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac
 
 DEFAULT_CHUNK = 1 << 16
-MAX_N = 1 << 62
+# _orbit_array takes n through float64, exact up to 2**53
+MAX_N = 1 << 53
+# blocks in flight per pool thread: enough to keep every thread busy
+_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -151,40 +156,59 @@ class ArcJob:
         return _arc_intersection_lengths(starts, lengths)
 
 
+def _block_plan(checkpoints, chunk_size: int):
+    """Blocks [n0, n1) cut at every checkpoint and every multiple of
+    chunk_size, generated in order one at a time."""
+    n0 = 0
+    for c in checkpoints:
+        while n0 < c:
+            n1 = min(c, (n0 // chunk_size + 1) * chunk_size)
+            yield n0, n1
+            n0 = n1
+
+
+def _map_in_order(pool, fn, items, window: int):
+    """Like ``pool.map``, but submits items lazily and keeps at most
+    ``window`` of them in flight."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_chunked(job, workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> AverageTrace:
     """Execute a job over fixed contiguous blocks.
 
-    The block plan depends only on the schedule and chunk_size, and block
-    sums are exactly rounded, so any worker count yields identical traces.
+    The block plan depends only on the schedule and chunk_size, block sums
+    are exactly rounded (``_dd.v_sum``) and merged in plan order, so any
+    worker count yields identical traces.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     cps = job.schedule.checkpoints
-    n_max = cps[-1]
-    edges = sorted({0, n_max, *cps, *range(chunk_size, n_max, chunk_size)})
-    blocks = list(zip(edges, edges[1:]))
+    blocks = _block_plan(cps, chunk_size)
 
     def block_sum(block):
         n0, n1 = block
-        return math.fsum(job.terms(n0, n1).tolist())
-
-    if workers == 1:
-        sums = [block_sum(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, blocks))
+        return n1, _dd.v_sum(job.terms(n0, n1))
 
     acc = CompensatedSum()
     values = []
     it = iter(cps)
     nxt = next(it)
-    for (n0, n1), s in zip(blocks, sums):
-        acc.add(s)
-        if n1 == nxt:
-            values.append(acc.value() / n1)
-            nxt = next(it, None)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        sums = (map(block_sum, blocks) if workers == 1 else
+                _map_in_order(pool, block_sum, blocks, _BLOCKS_PER_WORKER * workers))
+        for n1, s in sums:
+            acc.add(s)
+            if n1 == nxt:
+                values.append(acc.value() / n1)
+                nxt = next(it, None)
     est_tail = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
     return AverageTrace(job.schedule, tuple(values), values[-1], est_tail)
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _dd
 from .dynsys import TransformSpec, apply, finite_order
 from .unitmath import UnitPoint
 
@@ -190,7 +191,7 @@ def integrate(fs, q: QuadratureSpec | None = None) -> float:
     for f in fs:
         vals *= evaluate_array(f, pts)
     wts = (half[:, None] * w[None, :]).ravel()
-    return math.fsum((vals * wts).tolist())
+    return _dd.v_sum(vals * wts)
 
 
 def periodic_orbit_mean(g: Observable, s: TransformSpec, x) -> float:

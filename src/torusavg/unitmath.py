@@ -234,10 +234,8 @@ def sum_shifted_frac(x: float, k: int) -> float:
         raise ValueError("k must be a positive integer")
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if k >= 16:
-        t = x + np.arange(k) / k
-        return math.fsum((t - np.floor(t)).tolist())
-    return math.fsum(frac(x + r / k) for r in range(k))
+    t = x + np.arange(k) / k
+    return _dd.v_sum(t - np.floor(t))
 
 
 @dataclass(frozen=True)

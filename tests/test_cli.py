@@ -63,6 +63,17 @@ def test_parse_length_mismatch_names_both_lengths():
     assert any("length 3" in m and "length 1" in m for m in exc.value.errors)
 
 
+def test_parse_refuses_orbits_beyond_float64_indices():
+    for schedule in ({"n_max": 2 ** 53 + 1}, {"checkpoints": [10, 2 ** 53 + 1]}):
+        bad = json.loads(MINIMAL)
+        bad["schedule"] = schedule
+        with pytest.raises(ScenarioError):
+            parse_scenario(json.dumps(bad))
+    ok = json.loads(MINIMAL)
+    ok["schedule"] = {"n_max": 2 ** 53}
+    assert parse_scenario(json.dumps(ok)).schedule.checkpoints[-1] == 2 ** 53
+
+
 def test_parse_invalid_json():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario("{not json")

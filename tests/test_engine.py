@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusavg.dynsys import (build_family, finite_rotation, rotation,
                              rotation_power)
-from torusavg.engine import (AverageTrace, Schedule, birkhoff_average,
-                             correlation_average, multiple_average,
-                             periodic_factor_average,
-                             triple_intersection_average)
+from torusavg.engine import (_BLOCKS_PER_WORKER, MAX_N, ArcJob, AverageTrace,
+                             DiagonalJob, Schedule, _block_plan, _orbit_array,
+                             birkhoff_average, correlation_average,
+                             multiple_average, periodic_factor_average,
+                             run_chunked, triple_intersection_average)
 from torusavg.observables import (constant, evaluate, frac_part, indicator,
-                                  power_of_frac, trig_poly, value_bounds)
-from torusavg.unitmath import ScalarConstant, frac
+                                  power_of_frac, product, trig_poly,
+                                  value_bounds)
+from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
+                               frac, orbit_point)
 
 SQRT2 = ScalarConstant.surd(0, 1, 2)
 SQRT3 = ScalarConstant.surd(0, 1, 3)
@@ -196,6 +201,88 @@ def test_cesaro_stability():
     for (n0, v0), (n1, v1) in zip(zip(tr.schedule.checkpoints, tr.values),
                                   zip(tr.schedule.checkpoints[1:], tr.values[1:])):
         assert abs(v1 - v0) <= (n1 - n0) * 1.0 / n1 + 1e-12
+
+
+def eager_plan(checkpoints, chunk_size):
+    """The block plan as a sorted edge set, built up front."""
+    n_max = checkpoints[-1]
+    edges = sorted({0, n_max, *checkpoints,
+                    *range(chunk_size, n_max, chunk_size)})
+    return list(zip(edges, edges[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda chunk: st.tuples(
+    st.just(chunk),
+    st.lists(st.one_of(st.integers(1, 5000),
+                       st.integers(1, 40).map(lambda k: k * chunk)),
+             min_size=1, max_size=12))))
+def test_block_plan_matches_eager_plan(args):
+    chunk, cps = args
+    cps = sorted(set(cps))
+    assert list(_block_plan(cps, chunk)) == eager_plan(cps, chunk)
+
+
+def fsum_trace(job, chunk_size):
+    """run_chunked's values with every block reduced by math.fsum."""
+    cps = job.schedule.checkpoints
+    acc, values = CompensatedSum(), []
+    for n0, n1 in eager_plan(cps, chunk_size):
+        acc.add(math.fsum(job.terms(n0, n1).tolist()))
+        if n1 in cps:
+            values.append(acc.value() / n1)
+    return values
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunked_equals_fsum_reference(workers):
+    sch = Schedule((7, 1000, 4096, 50_000, 123_457))
+    diag = DiagonalJob(
+        (SQRT2, ScalarConstant.surd("1/3", "-2/7", 5)),
+        (power_of_frac(8), product(trig_poly([(1, 1.0, 0.5), (3, 0.0, 2.0)]),
+                                   indicator(0.1, 0.7))),
+        UnitPoint.from_real(0.3), sch)
+    arc = ArcJob(((SQRT2, 0.1, 0.35), (SQRT3.neg(), 0.6, 0.5)),
+                 ((0.3, 0.5),), sch)
+    for job in (diag, arc):
+        for chunk in (4096, 1 << 16):
+            tr = run_chunked(job, workers=workers, chunk_size=chunk)
+            assert list(tr.values) == fsum_trace(job, chunk)  # bitwise
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunked_stops_within_its_window(workers):
+    # 16,384 blocks; the fourth one fails
+    calls = []
+
+    class Job:
+        schedule = Schedule((1 << 30,))
+
+        def terms(self, n0, n1):
+            calls.append(n0)
+            if len(calls) > 3:
+                raise RuntimeError("block failed")
+            return np.zeros(n1 - n0)
+
+    with pytest.raises(RuntimeError):
+        run_chunked(Job(), workers=workers)
+    assert len(calls) <= 3 + _BLOCKS_PER_WORKER * workers
+
+
+def test_orbit_length_capped_where_float64_indices_are_exact():
+    # _orbit_array takes n through float64, exact up to 2**53
+    assert MAX_N == 2 ** 53
+    with pytest.raises(ValueError):
+        Schedule((10, MAX_N + 1))
+    n = np.array([MAX_N - 1, MAX_N], dtype=np.int64)
+    for c in (SQRT2, ScalarConstant.surd("1/3", "-2/7", 5), SQRT2.neg(),
+              ScalarConstant.literal(0.123456789),
+              ScalarConstant.rational(3, 7)):
+        for x0 in (0.0, 0.3):
+            got = _orbit_array(UnitPoint.from_real(x0), c, n)
+            for k, v in zip(n, got):
+                ref = orbit_point(x0, c, int(k)).value
+                assert abs((v - ref + 0.5) % 1.0 - 0.5) <= 1e-15
 
 
 def test_run_chunked_argument_errors():

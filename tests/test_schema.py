@@ -112,12 +112,12 @@ observable = st.one_of(
 # drawn from a fixed list.
 schedule = rarely(st.one_of(
     record({"n_max": rarely(st.integers(1, 10 ** 6), st.sampled_from(
-        [-1, 0, 2 ** 62, 2 ** 62 + 1]))},
+        [-1, 0, 2 ** 53, 2 ** 53 + 1]))},
            {"ratio": st.sampled_from([0.5, 1, 1.25, 10 ** 0.125, 2, 1e308])}),
     record({"checkpoints": rarely(
         st.lists(st.integers(1, 10 ** 6), unique=True, min_size=1,
                  max_size=3).map(sorted),
-        st.lists(st.one_of(st.integers(-1, 3), st.just(2 ** 62 + 1)),
+        st.lists(st.one_of(st.integers(-1, 3), st.just(2 ** 53 + 1)),
                  max_size=3), 8)})),
     st.just({"n_max": 100, "checkpoints": [100]}))
 
