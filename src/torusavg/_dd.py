@@ -1,9 +1,8 @@
 """Error-free float transforms and double-double helpers.
 
 Scalar functions work on (hi, lo) pairs of Python floats.  The ``v_``
-prefixed variants are numpy-vectorized and only keep as much of the
-expansion as the streaming engine needs (the final orbit point is a
-plain float64 anyway), except ``v_sum``, which is exact.
+prefixed variants are numpy-vectorized: ``v_two_sum`` is error-free, and
+``v_sum`` and ``v_sum_rows`` are exactly rounded sums.
 """
 
 import math
@@ -87,8 +86,9 @@ def dd_from_fraction(fr):
 
 def dd_frac(x, _depth=0):
     """Reduce a double-double into [0, 1), keeping the residue in lo."""
-    h = x[0] - math.floor(x[0])
-    h, l = two_sum(h, x[1])
+    # x[0] - floor(x[0]) rounds for x[0] in (-1, 0): keep its error
+    h, e = two_sum(x[0], -math.floor(x[0]))
+    h, l = two_sum(h, x[1] + e)
     if h >= 1.0:
         h, l = two_sum(h - 1.0, l)
     elif h < 0.0:
@@ -110,27 +110,6 @@ def v_two_sum(a, b):
     s = a + b
     t = s - a
     return s, (a - (s - t)) + (b - t)
-
-
-def v_two_prod(a, b):
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def v_frac(h, l):
-    """Collapse an (h, l) expansion to float64 points in [0, 1)."""
-    h = h - np.floor(h)
-    s, e = v_two_sum(h, l)
-    out = s + e
-    out = np.where(out >= 1.0, out - 1.0, out)
-    out = np.where(out < 0.0, out + 1.0, out)
-    return np.where(out >= 1.0, 0.0, out)
 
 
 _SUM_PASSES = 4
@@ -167,3 +146,33 @@ def v_sum(a) -> float:
         sums.append(float(q.sum()))
         big = float(np.abs(r, out=q).max())
     return math.fsum(sums + r[r != 0].tolist())
+
+
+def v_sum_rows(a) -> np.ndarray:
+    """``v_sum`` of every row of a 2-D float64 array, with one sigma per
+    row, so many short rows cost a few whole-array passes.  Where no
+    residue is left and at most two pass sums are nonzero, one addition
+    rounds them correctly; other rows go to fsum as in ``v_sum``.
+    """
+    m = (a.shape[1] + 1).bit_length()
+    q = np.abs(a)
+    big = q.max(axis=1, initial=0.0)
+    plain = ~np.isfinite(big) | (big == 0.0) | (np.frexp(big)[1] + m > 1023)
+    big[plain] = 0.0
+    r = a.copy()
+    r[plain] = 0.0
+    sums = [np.zeros(len(a))]
+    while big.any() and len(sums) <= _SUM_PASSES:
+        sigma = np.ldexp(1.0, np.frexp(big)[1] + m)[:, None]
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        sums.append(q.sum(axis=1))
+        big = np.abs(r, out=q).max(axis=1)
+    s = np.stack(sums, axis=1)
+    out = s.sum(axis=1)
+    for i in np.flatnonzero((big > 0.0) | (np.count_nonzero(s, axis=1) > 2)):
+        out[i] = math.fsum(s[i].tolist() + r[i][r[i] != 0].tolist())
+    for i in np.flatnonzero(plain):
+        out[i] = math.fsum(a[i].tolist())
+    return out

@@ -1,7 +1,9 @@
 """Streaming diagonal averages along rotation orbits.
 
-Orbits are evaluated blockwise as {x0 + n*alpha} with double-double product
-reduction (never iterated additions), block sums are exactly rounded by an
+Orbits are evaluated blockwise: each block starts from the exact base
+{x0 + n0*alpha} (product reduction with Python-int step counts, never
+iterated additions) and adds j*alpha for the local step j, split so that
+the large part is exact in float64.  Block sums are exactly rounded by an
 error-free vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit)
 and merged through a Neumaier accumulator in fixed block order, so traces
 are bitwise reproducible for any worker count.
@@ -13,6 +15,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -20,11 +23,14 @@ import numpy as np
 from . import _dd
 from .dynsys import TransformFamily, TransformSpec, effective_rotation, finite_order
 from .observables import Observable, evaluate_array
-from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac
+from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac, orbit_point
 
 DEFAULT_CHUNK = 1 << 16
-# _orbit_array takes n through float64, exact up to 2**53
+# the double-double constant's error grows with n: about 1.7 * 2**-53 at 2**53
 MAX_N = 1 << 53
+# geometric schedules take about log(n_max / first) / log(ratio) steps: at
+# most 344k at this floor, which parses in well under a second
+MIN_RATIO = 1.0001
 # blocks in flight per pool thread: enough to keep every thread busy
 _BLOCKS_PER_WORKER = 4
 
@@ -50,8 +56,8 @@ class Schedule:
                   first: int = 10) -> "Schedule":
         if n_max < 1:
             raise ValueError("n_max must be positive")
-        if ratio <= 1.0:
-            raise ValueError("ratio must exceed 1")
+        if not ratio >= MIN_RATIO:
+            raise ValueError(f"ratio must be at least {MIN_RATIO}")
         cs, j = [], 0
         while True:
             x = first * ratio ** j  # inf for a huge ratio
@@ -73,22 +79,91 @@ class AverageTrace:
     est_tail: float
 
 
-def _orbit_array(x0: UnitPoint, const: ScalarConstant, n: np.ndarray) -> np.ndarray:
-    """Points {x0 + n*alpha} for an int64 index vector, to ~1 ulp."""
+_STEP_MAX = 1 << 17
+
+
+@lru_cache(maxsize=1)
+def _steps() -> np.ndarray:
+    """The shared read-only step vector 0, 1, ..., _STEP_MAX - 1."""
+    j = np.arange(_STEP_MAX, dtype=np.float64)
+    j.flags.writeable = False
+    return j
+
+
+def _grid_split(x, k: int):
+    """Split a double-double x into hi + lo with hi a multiple of 2**-k and
+    lo = x - hi <= 0 (to one rounding)."""
+    h, l = x
+    hi = math.ldexp(math.ceil(math.ldexp(h, k)), -k)
+    if hi == h and l > 0.0:
+        hi += math.ldexp(1.0, -k)
+    return hi, (h - hi) + l
+
+
+def _wrap(o: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Map o in (-1, 2) into [0, 1) in place: subtract floor(o) twice, so a
+    negative that rounds up to 1.0 lands on 0.0; t is scratch."""
+    for _ in range(2):
+        np.floor(o, out=t)
+        o -= t
+    return o
+
+
+def _rational_points(x0: UnitPoint, const: ScalarConstant, n0: int, out):
+    """{x0 + n*p/q} from the exact residue n*p mod q, written to out.  The
+    points repeat with period q, so one period is computed and copied."""
+    fr = const.as_fraction() % 1
+    p, q = fr.numerator, fr.denominator
+    if p * q >= 1 << 62:
+        raise ValueError("rational rotation constant too large to reduce")
+    m = min(q, len(out))
+    n = np.arange(n0, n0 + m, dtype=np.int64)
+    h, e = _dd.v_two_sum(((n % q) * p % q).astype(np.float64) / q, x0.value)
+    o = np.subtract(h, np.floor(h), out=out[:m])
+    o += e + x0.comp
+    _wrap(o, h)
+    while m < len(out):
+        c = min(m, len(out) - m)
+        out[m:m + c] = out[:c]
+        m += c
+    return out
+
+
+def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
+                 ws) -> np.ndarray:
+    """Points {x0 + n*alpha} for n0 <= n < n1, within about half an ulp.
+
+    Each run of L <= _STEP_MAX points starts from the base {x0 + m0*alpha}
+    (``orbit_point``: Python-int step count, double-double alpha) and adds
+    j*{alpha} for the local step j < L.  Base and step are split on the
+    grid 2**-k, k = 52 - bit_length(L - 1): the grid parts sum exactly in
+    float64, as base + j*step stays below 2**(53-k), and so does their
+    fractional part.  The remainders, both <= 0, give a correction below
+    2**(52-2k) that is added last: one rounding, never up to 1.0.
+
+    The points go to ws[0], and ws[1] is scratch, for a (2, n1 - n0)
+    buffer ws.
+    """
+    out, t = ws
     if const.is_rational():
-        fr = const.as_fraction() % 1
-        p, q = fr.numerator, fr.denominator
-        if p * q >= 1 << 62:
-            raise ValueError("rational rotation constant too large to reduce")
-        shift = ((n % q) * p % q).astype(np.float64) / q
-        h, e = _dd.v_two_sum(shift, x0.value)
-        return _dd.v_frac(h, e + x0.comp)
-    ch, cl = const.dd()
-    nf = n.astype(np.float64)
-    h, e = _dd.v_two_prod(nf, ch)
-    lo = nf * cl + e
-    h, e2 = _dd.v_two_sum(h, x0.value)
-    return _dd.v_frac(h, lo + e2 + x0.comp)
+        return _rational_points(x0, const, n0, out)
+    step = _dd.dd_frac(const.dd())
+    for m0 in range(n0, n1, _STEP_MAX):
+        m1 = min(n1, m0 + _STEP_MAX)
+        k = 52 - (m1 - m0 - 1).bit_length()
+        base = orbit_point(x0, const, m0)
+        bh, bl = _grid_split((base.value, base.comp), k)
+        ah, al = _grid_split(step, k)
+        j, o, tt = _steps()[:m1 - m0], out[m0 - n0:m1 - n0], t[m0 - n0:m1 - n0]
+        np.multiply(j, ah, out=o)
+        o += bh
+        np.floor(o, out=tt)
+        o -= tt
+        np.multiply(j, al, out=tt)
+        tt += bl
+        o += tt
+        _wrap(o, tt)
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,34 +176,58 @@ class DiagonalJob:
     schedule: Schedule
 
     def terms(self, n0: int, n1: int) -> np.ndarray:
-        n = np.arange(n0, n1, dtype=np.int64)
+        # one buffer per block: member i's points in row i, scratch in row i+1
+        ws = np.empty((len(self.constants) + 1, n1 - n0))
         out = None
-        for c, f in zip(self.constants, self.observables):
-            vals = evaluate_array(f, _orbit_array(self.x0, c, n))
-            out = vals if out is None else out * vals
+        for i, (c, f) in enumerate(zip(self.constants, self.observables)):
+            vals = evaluate_array(f, _orbit_block(self.x0, c, n0, n1, ws[i:i + 2]))
+            if out is None:
+                out = vals
+            else:
+                out *= vals
         return out
 
 
-def _arc_intervals(start: np.ndarray, length: float):
-    """A circle arc [s, s+L) as up to two intervals in [0, 1)."""
-    end = start + length
-    lo1, hi1 = start, np.minimum(end, 1.0)
-    lo2 = np.zeros_like(start)
-    hi2 = np.maximum(end - 1.0, 0.0)
-    return (lo1, lo2), (hi1, hi2)
+def _arc_intersection_lengths(arcs, ws) -> np.ndarray:
+    """len(arc_1 ∩ ... ∩ arc_d): the sum over piece choices, in
+    itertools.product order, of max(min(his) - max(los), 0).
 
-
-def _arc_intersection_lengths(starts, lengths) -> np.ndarray:
-    los, his = [], []
-    for s, L in zip(starts, lengths):
-        lo, hi = _arc_intervals(s, L)
-        los.append(lo)
-        his.append(hi)
-    total = np.zeros_like(starts[0])
-    for combo in _iproduct(range(2), repeat=len(starts)):
-        lo = np.maximum.reduce([los[i][c] for i, c in enumerate(combo)])
-        hi = np.minimum.reduce([his[i][c] for i, c in enumerate(combo)])
-        total += np.maximum(hi - lo, 0.0)
+    An arc [s, s+L) is the pieces [s, min(s+L, 1)) and [0, s+L-1) of
+    [0, 1), each given as (lo arrays, lo scalar, hi arrays, hi scalar).  A
+    negative hi needs no clamp at 0, as it already gives +0.0.  max and
+    min are exact, so they fold in any order, in place.  A choice whose
+    scalar bounds are already empty only ever adds +0.0 and is skipped.
+    ws holds three scratch rows.
+    """
+    total, lo, term = None, ws[0], ws[1]
+    for combo in _iproduct(*arcs):
+        lo_s, hi_s = max(p[1] for p in combo), min(p[3] for p in combo)
+        if hi_s <= lo_s:
+            continue
+        los = [a for p in combo for a in p[0]]
+        his = [a for p in combo for a in p[2]]
+        low = lo_s
+        if los:
+            low = los[0]
+            for a in los[1:]:
+                low = np.maximum(low, a, out=lo)
+            if lo_s > 0.0:  # every lo is >= +0.0
+                low = np.maximum(low, lo_s, out=lo)
+        if his:
+            np.minimum(his[0], hi_s, out=term)
+        else:
+            term.fill(hi_s)
+        for a in his[1:]:
+            np.minimum(term, a, out=term)
+        term -= low
+        np.maximum(term, 0.0, out=term)
+        if total is None:
+            total, term = term, ws[2]
+        else:
+            total += term
+    if total is None:
+        total = term
+        total.fill(0.0)
     return total
 
 
@@ -145,15 +244,22 @@ class ArcJob:
     schedule: Schedule
 
     def terms(self, n0: int, n1: int) -> np.ndarray:
-        n = np.arange(n0, n1, dtype=np.int64)
-        starts, lengths = [], []
-        for alpha, a, length in self.moving:
-            starts.append(_orbit_array(UnitPoint.from_real(a), alpha.neg(), n))
-            lengths.append(length)
+        # one buffer per block: rows 3i..3i+2 hold moving arc i's start, end
+        # and end - 1 (the end row is the orbit scratch first); 3 more rows
+        # are for the sum
+        ws = np.empty((3 * len(self.moving) + 3, n1 - n0))
+        arcs = []
+        for i, (alpha, a, length) in enumerate(self.moving):
+            start, end, end1 = ws[3 * i:3 * i + 3]
+            _orbit_block(UnitPoint.from_real(a), alpha.neg(), n0, n1, ws[3 * i:3 * i + 2])
+            np.add(start, length, out=end)
+            np.subtract(end, 1.0, out=end1)
+            arcs.append((([start], 0.0, [end], 1.0), ([], 0.0, [end1], 1.0)))
         for a, length in self.fixed:
-            starts.append(np.full(len(n), frac(a)))
-            lengths.append(length)
-        return _arc_intersection_lengths(starts, lengths)
+            start = frac(a)
+            end = start + length
+            arcs.append((([], start, [], min(end, 1.0)), ([], 0.0, [], max(end - 1.0, 0.0))))
+        return _arc_intersection_lengths(arcs, ws[3 * len(self.moving):])
 
 
 def _block_plan(checkpoints, chunk_size: int):

@@ -222,20 +222,24 @@ class CompensatedSum:
         return self._s + self._c
 
 
-def sum_shifted_frac(x: float, k: int) -> float:
-    """Sum_{r=0}^{k-1} {x + r/k}, each term evaluated directly.
+def sum_shifted_frac(x, k: int):
+    """Sum_{r=0}^{k-1} {x + r/k}, each term evaluated directly; for a 1-D
+    array of x, an array with one sum per x.
 
     Equals {k*x} + (k-1)/2 for every real x in [0, 1]; the right-hand side
     is the test oracle, this computes the left-hand side.  Terms carry at
-    most a couple of ulp each and the summation is exactly rounded, so the
-    identity holds to well below 1e-12 for k up to a few thousand.
+    most a couple of ulp each and each sum is exactly rounded (math.fsum of
+    its terms, bit for bit), so the identity holds to well below 1e-12 for
+    k up to a few thousand.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not (0.0 <= x <= 1.0):
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    t = x + np.arange(k) / k
-    return _dd.v_sum(t - np.floor(t))
+    t = x[..., None] + np.arange(k) / k
+    t -= np.floor(t)
+    return _dd.v_sum(t) if t.ndim == 1 else _dd.v_sum_rows(t)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from torusavg.cli import (ScenarioError, main, parse_scenario, run_scenario,
                           trace_csv, verify_builtin)
-from torusavg.engine import Schedule
+from torusavg.engine import MIN_RATIO, Schedule
 from torusavg.unitmath import ScalarConstant
 
 MINIMAL = json.dumps({
@@ -72,6 +73,17 @@ def test_parse_refuses_orbits_beyond_float64_indices():
     ok = json.loads(MINIMAL)
     ok["schedule"] = {"n_max": 2 ** 53}
     assert parse_scenario(json.dumps(ok)).schedule.checkpoints[-1] == 2 ** 53
+
+
+def test_parse_ratio_floor():
+    # the longest geometric schedule: n_max = 2**53 at the ratio floor
+    doc = json.loads(MINIMAL)
+    doc["schedule"] = {"n_max": 2 ** 53, "ratio": MIN_RATIO}
+    cps = parse_scenario(json.dumps(doc)).schedule.checkpoints
+    assert cps[-1] == 2 ** 53 and len(cps) < 300_000
+    doc["schedule"]["ratio"] = math.nextafter(MIN_RATIO, 0)
+    with pytest.raises(ScenarioError):
+        parse_scenario(json.dumps(doc))
 
 
 def test_parse_invalid_json():

@@ -1,5 +1,5 @@
 """``_dd.v_sum`` is ``math.fsum(a.tolist())``, bit for bit, or raises what
-fsum raises."""
+fsum raises; ``v_sum_rows`` is the same row by row."""
 
 import math
 import struct
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg._dd import v_sum
+from torusavg._dd import v_sum, v_sum_rows
 
 BIG = np.finfo(np.float64).max
 TINY = 5e-324
@@ -54,6 +54,28 @@ def test_v_sum_is_fsum(a):
     assert_same_as_fsum(a)
 
 
+def row_outcomes(a):
+    """fsum of every row, or what the first row that raises raises."""
+    sums = []
+    for row in a:
+        got = outcome(lambda r: math.fsum(r.tolist()), row)
+        if not isinstance(got, bytes):
+            return got
+        sums.append(got)
+    return b"".join(sums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors(), st.integers(1, 40))
+def test_v_sum_rows_are_fsum(a, rows):
+    a = a[:len(a) // rows * rows].reshape(rows, -1)
+    try:
+        got = v_sum_rows(a).astype("<f8").tobytes()
+    except (ValueError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    assert got == row_outcomes(a)
+
+
 @pytest.mark.parametrize("reps", [1, 600])  # short and long vectors
 @pytest.mark.parametrize("pattern", [
     [], [0.0], [-0.0], [0.0, -0.0], [1.0, -1.0], [TINY], [TINY, -TINY],
@@ -65,3 +87,18 @@ def test_v_sum_is_fsum(a):
 ], ids=repr)
 def test_v_sum_edge_cases(pattern, reps):
     assert_same_as_fsum(np.tile(np.array(pattern, dtype=np.float64), reps))
+
+
+@pytest.mark.parametrize("pattern", [
+    [1.0, 2.0 ** -53, 2.0 ** -110], [1.0, -2.0 ** -54, -2.0 ** -110],
+    [3.0, 2.0 ** -52, 2.0 ** -100],
+    [1.0, -1.0, 2.0 ** -200, -2.0 ** -200, 2.0 ** -400, -2.0 ** -400,
+     2.0 ** -600, -2.0 ** -600, 2.0 ** -800, 2.0 ** -1000],
+], ids=repr)
+def test_v_sum_parts_in_separate_passes(pattern):
+    # adding the pass sums in turn would round twice; cancelling pairs give
+    # zero pass sums and leave residues after the last pass
+    padded = np.array(pattern + [0.0] * 600)
+    assert_same_as_fsum(padded)
+    rows = np.array([pattern, pattern[::-1], [0.0] * (len(pattern) - 1) + [1.0]])
+    assert v_sum_rows(rows).tobytes() == row_outcomes(rows)

@@ -1,5 +1,7 @@
 import math
+from itertools import product as iproduct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from torusavg.dynsys import (build_family, finite_rotation, rotation,
                              rotation_power)
 from torusavg.engine import (_BLOCKS_PER_WORKER, MAX_N, ArcJob, AverageTrace,
-                             DiagonalJob, Schedule, _block_plan, _orbit_array,
+                             DiagonalJob, Schedule, _block_plan, _orbit_block,
                              birkhoff_average, correlation_average,
                              multiple_average, periodic_factor_average,
                              run_chunked, triple_intersection_average)
@@ -20,6 +22,11 @@ from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
 
 SQRT2 = ScalarConstant.surd(0, 1, 2)
 SQRT3 = ScalarConstant.surd(0, 1, 3)
+
+
+def orbit_block(x0, c, n0, n1):
+    """engine._orbit_block with a buffer of its own."""
+    return _orbit_block(x0, c, n0, n1, np.empty((2, n1 - n0)))
 
 
 def naive_orbit(x0, alpha_float, n):
@@ -269,20 +276,179 @@ def test_run_chunked_stops_within_its_window(workers):
     assert len(calls) <= 3 + _BLOCKS_PER_WORKER * workers
 
 
-def test_orbit_length_capped_where_float64_indices_are_exact():
-    # _orbit_array takes n through float64, exact up to 2**53
+def test_orbit_length_capped_where_the_constant_error_stays_small():
+    # the double-double constant's error grows with n (about 1.7 * 2**-53
+    # at 2**53, see test_orbit_block_matches_mpmath), so orbits stop at 2**53
     assert MAX_N == 2 ** 53
     with pytest.raises(ValueError):
         Schedule((10, MAX_N + 1))
-    n = np.array([MAX_N - 1, MAX_N], dtype=np.int64)
     for c in (SQRT2, ScalarConstant.surd("1/3", "-2/7", 5), SQRT2.neg(),
               ScalarConstant.literal(0.123456789),
               ScalarConstant.rational(3, 7)):
         for x0 in (0.0, 0.3):
-            got = _orbit_array(UnitPoint.from_real(x0), c, n)
-            for k, v in zip(n, got):
-                ref = orbit_point(x0, c, int(k)).value
+            got = orbit_block(UnitPoint.from_real(x0), c, MAX_N - 1, MAX_N + 1)
+            for k, v in zip((MAX_N - 1, MAX_N), got):
+                ref = orbit_point(x0, c, k).value
                 assert abs((v - ref + 0.5) % 1.0 - 0.5) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# orbit kernel
+
+ORBIT_X0 = (0.0, 0.3, 0.123456789)
+ORBIT_N0 = (0, 10 ** 6, 2 ** 40, MAX_N - 2 ** 16)
+ORBIT_LENGTHS = (1, 17, 2 ** 16)
+FIXED_BITS = 160
+
+
+def mp_value(c):
+    """The constant in mpmath, from its exact rational and radicand parts."""
+    def q(fr):
+        return mpmath.mpf(fr.numerator) / fr.denominator
+    if c.kind == "rational":
+        return q(c.rat)
+    if c.kind == "surd":
+        return q(c.surd_a) + q(c.surd_b) * mpmath.sqrt(c.surd_m)
+    return mpmath.mpf(c.lit)
+
+
+def mp_orbit_errors(x0, c, n0, points):
+    """Circular distances, in units of 2**-53, between points[j] and
+    {x0 + (n0 + j)*alpha}.  mpmath gives {x0 + n0*alpha} and {alpha} as
+    FIXED_BITS-bit fixed-point integers; the steps j*{alpha} are added in
+    exact integer arithmetic; the reference is split into a multiple of
+    2**-53 and a remainder before it meets the float points."""
+    one = 1 << FIXED_BITS
+    with mpmath.workprec(FIXED_BITS + 120):
+        alpha = mp_value(c)
+
+        def fixed(v):
+            return int(mpmath.nint((v - mpmath.floor(v)) * one)) % one
+        base, step = fixed(mpmath.mpf(x0) + n0 * alpha), fixed(alpha)
+    ref = (np.arange(len(points), dtype=object) * step + base) % one
+    shift = FIXED_BITS - 53
+    ref_hi = (ref >> shift).astype(np.int64) * 2.0 ** -53
+    ref_lo = (ref & ((1 << shift) - 1)).astype(np.float64) * 2.0 ** -FIXED_BITS
+    # points - ref_hi is exact for nearby values; across 0 ~ 1 the shift
+    # by 1 goes to whichever side is above 1/2, where it is exact too
+    d = points - ref_hi
+    d = np.where(d > 0.5, (points - 1.0) - ref_hi, d)
+    d = np.where(d < -0.5, points - (ref_hi - 1.0), d)
+    return np.abs(d - ref_lo) * 2.0 ** 53
+
+
+@pytest.mark.parametrize("c", [SQRT2, SQRT3.neg(),
+                               ScalarConstant.surd("1/3", "-2/7", 5),
+                               ScalarConstant.literal(0.123456789),
+                               # in (-1/2, 0): alpha + 1 rounds
+                               ScalarConstant.surd("2/3", "-1/3", 7),
+                               ScalarConstant.literal(-0.3)])
+def test_orbit_block_matches_mpmath(c):
+    for x0, n0, length in iproduct(ORBIT_X0, ORBIT_N0, ORBIT_LENGTHS):
+        pts = orbit_block(UnitPoint.from_real(x0), c, n0, n0 + length)
+        assert pts.shape == (length,)
+        assert np.all((pts >= 0.0) & (pts < 1.0))
+        bound = 1.0 if n0 + length <= 2 ** 40 else 4.0
+        assert max(mp_orbit_errors(x0, c, n0, pts)) <= bound, (x0, n0, length)
+
+
+@pytest.mark.parametrize("c", [SQRT2, ScalarConstant.rational(1, 3)])
+def test_orbit_block_wraps_just_below_zero(c):
+    # x0 = -1e-30 rounds to 1.0, which lies on the circle at 0.0
+    pts = orbit_block(UnitPoint(0.0, -1e-30), c, 0, 17)
+    assert pts[0] == 0.0 and np.all((pts >= 0.0) & (pts < 1.0))
+
+
+def former_v_frac(h, l):
+    """The former kernel's collapse of (h, l) into [0, 1)."""
+    h = h - np.floor(h)
+    s = h + l
+    t = s - h
+    e = (h - (s - t)) + (l - t)
+    out = s + e
+    out = np.where(out >= 1.0, out - 1.0, out)
+    out = np.where(out < 0.0, out + 1.0, out)
+    return np.where(out >= 1.0, 0.0, out)
+
+
+def rational_index_formula(x0, const, n):
+    """The former kernel's rational points: {x0 + ((n mod q)*p mod q) / q}."""
+    fr = const.as_fraction() % 1
+    p, q = fr.numerator, fr.denominator
+    shift = ((n % q) * p % q).astype(np.float64) / q
+    h = shift + x0.value
+    t = h - shift
+    e = (shift - (h - t)) + (x0.value - t)
+    return former_v_frac(h, e + x0.comp)
+
+
+@pytest.mark.parametrize("c", [ScalarConstant.rational(p, q) for p, q in
+                               [(1, 3), (-2, 7), (3, 4), (0, 1), (5, 1),
+                                (1, 65537), (12345, 1000003)]])
+def test_rational_points_match_index_formula(c):
+    x0s = [UnitPoint.from_real(x) for x in ORBIT_X0 + (1 - 2 ** -53,)]
+    x0s.append(UnitPoint(0.7, -2e-17))
+    for x0, n0, length in iproduct(x0s, ORBIT_N0, ORBIT_LENGTHS):
+        got = orbit_block(x0, c, n0, n0 + length)
+        ref = rational_index_formula(
+            x0, c, np.arange(n0, n0 + length, dtype=np.int64))
+        assert got.tobytes() == ref.tobytes(), (x0, n0, length)
+
+
+def former_arc_terms(job, n0, n1):
+    """ArcJob terms by the former product-of-intervals formula: every arc
+    is [s, min(s+L, 1)) plus [0, max(s+L-1, 0)), fixed arcs as full
+    arrays, and the product of the pieces summed in itertools order."""
+    starts, lengths = [], []
+    for alpha, a, length in job.moving:
+        starts.append(orbit_block(UnitPoint.from_real(a), alpha.neg(), n0, n1))
+        lengths.append(length)
+    for a, length in job.fixed:
+        starts.append(np.full(n1 - n0, frac(a)))
+        lengths.append(length)
+    los, his = [], []
+    for s, length in zip(starts, lengths):
+        end = s + length
+        los.append((s, np.zeros_like(s)))
+        his.append((np.minimum(end, 1.0), np.maximum(end - 1.0, 0.0)))
+    total = np.zeros_like(starts[0])
+    for combo in iproduct(range(2), repeat=len(starts)):
+        lo = np.maximum.reduce([los[i][c] for i, c in enumerate(combo)])
+        hi = np.minimum.reduce([his[i][c] for i, c in enumerate(combo)])
+        total += np.maximum(hi - lo, 0.0)
+    return total
+
+
+QUARTER = ScalarConstant.rational(1, 4)
+ARC_JOBS = [
+    # one arc: moving, wrapping for most n
+    (((SQRT2, 0.1, 0.95),), ()),
+    # two arcs: moving with a non-wrapping, a wrapping, an end-at-1 fixed arc
+    (((SQRT2, 0.1, 0.35),), ((0.3, 0.5),)),
+    (((SQRT3.neg(), 0.9, 0.3),), ((0.8, 0.5),)),
+    (((SQRT2, 0.0, 0.5),), ((0.5, 0.5),)),
+    (((SQRT2, 0.6, 0.7), (SQRT3, 0.25, 0.5)), ()),
+    # three arcs
+    (((SQRT2, 0.0, 0.5), (SQRT3, 0.2, 0.7)), ((0.1, 0.5),)),
+    (((SQRT2, 0.7, 0.6), (SQRT3.neg(), 0.9, 0.4)), ((0.75, 0.5),)),
+    (((SQRT2, 0.3, 1.0),), ((0.2, 0.1), (0.6, 0.3))),
+    (((SQRT2, 0.3, 0.2), (SQRT3, 0.1, 0.9), (ScalarConstant.literal(0.7071), 0.5, 0.6)), ()),
+    # exact quarter boundaries make zero-length intersections
+    (((QUARTER, 0.0, 0.25),), ((0.0, 0.25),)),
+    (((QUARTER, 0.25, 0.5), (ScalarConstant.rational(1, 2), 0.5, 0.5)), ((0.75, 0.25),)),
+    # fixed arcs only, and fixed arcs that never meet
+    ((), ((0.2, 0.5), (0.6, 0.7))),
+    (((SQRT2, 0.1, 0.5),), ((0.0, 0.2), (0.5, 0.2))),
+]
+
+
+@pytest.mark.parametrize("moving, fixed", ARC_JOBS)
+def test_arc_terms_match_product_of_intervals(moving, fixed):
+    job = ArcJob(moving, fixed, Schedule((10,)))
+    for n0, length in ((0, 1), (0, 17), (10 ** 6 + 3, 4096), (2 ** 40, 2 ** 16)):
+        got = job.terms(n0, n0 + length)
+        ref = former_arc_terms(job, n0, n0 + length)
+        assert got.tobytes() == ref.tobytes(), (n0, length)  # sign of 0 too
 
 
 def test_run_chunked_argument_errors():

@@ -7,6 +7,7 @@ document that breaks one, and on all other documents the two must agree.
 """
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
+from torusavg.engine import MIN_RATIO
 
 SCENARIOS = resources.files("torusavg") / "scenarios"
 SCHEMA = json.loads((SCENARIOS / "scenario.schema.json").read_text())
@@ -108,12 +110,14 @@ observable = st.one_of(
             "coeffs": st.lists(row(st.integers(-3, 6), NUM, NUM),
                                max_size=3)}),
     record({"kind": st.just("piecewise_linear"), "knots": knots}))
-# Ratios just above 1 make very long geometric schedules, so ratios are
-# drawn from a fixed list.
+# Ratios from the floor upward, plus the floor, the float just below it
+# and a few values far below.
+ratio = st.one_of(st.floats(MIN_RATIO, 1e308),
+                  st.sampled_from([MIN_RATIO, math.nextafter(MIN_RATIO, 0),
+                                   0.5, 1]))
 schedule = rarely(st.one_of(
     record({"n_max": rarely(st.integers(1, 10 ** 6), st.sampled_from(
-        [-1, 0, 2 ** 53, 2 ** 53 + 1]))},
-           {"ratio": st.sampled_from([0.5, 1, 1.25, 10 ** 0.125, 2, 1e308])}),
+        [-1, 0, 2 ** 53, 2 ** 53 + 1]))}, {"ratio": ratio}),
     record({"checkpoints": rarely(
         st.lists(st.integers(1, 10 ** 6), unique=True, min_size=1,
                  max_size=3).map(sorted),
