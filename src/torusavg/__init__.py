@@ -1,23 +1,29 @@
 """Diagonal ergodic averages for commuting circle rotations.
 
 Measures time averages (1/N) sum_n f1(T1^n x) ... fd(Td^n x) along orbits,
-predicts their limits in closed form from the family's equality partition,
-and compares the two.
+predicts their limits in closed form, and compares the two.  With each
+constant written as a_i + c_i * beta_m * sqrt(m) and q the lcm of the
+a-denominators, Weyl equidistribution gives the limit
+
+    (1/q) sum_{j<q} prod_{rational i} f_i({x0 + j a_i}) prod_m G_m[j mod q_m]
+
+with G_m[r] the integral over t of prod_{i over m} f_i(x0 + r a_i + c_i t).
+A prediction is not applicable when a literal constant is not proven
+rational by the bounded relation search, when q exceeds 2**20, or when the
+quadratures of a class exceed the panel budget.
 """
 
 from .dynsys import (TransformFamily, TransformSpec, build_family,
-                     finite_rotation, identity, is_ergodic_rotation,
-                     quotient_transform, rotation, rotation_power)
+                     finite_rotation, identity, rotation, rotation_power,
+                     weyl_form)
 from .engine import (AverageTrace, Schedule, birkhoff_average,
-                     correlation_average, multiple_average,
-                     periodic_factor_average, run_chunked,
+                     correlation_average, multiple_average, run_chunked,
                      triple_intersection_average)
 from .observables import (Observable, QuadratureSpec, constant, evaluate,
-                          frac_part, indicator, integrate,
-                          periodic_orbit_mean, piecewise_linear,
+                          frac_part, indicator, integrate, piecewise_linear,
                           power_of_frac, product, trig_poly)
-from .oracle import (ComparisonReport, Prediction, compare, ergodicity_report,
-                     predict)
+from .oracle import (ComparisonReport, Prediction, compare, predict,
+                     predict_intersection)
 from .unitmath import (CompensatedSum, IndependenceVerdict, ScalarConstant,
                        UnitPoint, frac, orbit_point, rational_independence,
                        sum_shifted_frac)

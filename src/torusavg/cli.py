@@ -23,7 +23,7 @@ from . import dynsys, engine, observables
 from .dynsys import TransformSpec, build_family
 from .engine import Schedule
 from .observables import Observable, integrate
-from .oracle import Factor, Prediction, compare, predict
+from .oracle import Prediction, compare, predict, predict_intersection
 from .unitmath import ScalarConstant, rational_independence, sum_shifted_frac, frac
 
 JOB_KINDS = ("average", "correlation", "triple")
@@ -45,7 +45,6 @@ class Scenario:
     observables: tuple[Observable, ...]
     x0: float
     schedule: Schedule
-    periodic: tuple[Observable, TransformSpec] | None
     indicators: tuple[Observable, ...]
     tolerance: float
     workers: int
@@ -287,10 +286,13 @@ def parse_scenario(text) -> Scenario:
         raise ScenarioError(errs)
     if job == "average":
         indicators = ()
+        if periodic is not None:  # one more member, the finite rotation
+            g, s_map = periodic
+            family, obs = family + [s_map], obs + [g]
     else:
         obs, indicators = (), tuple(indicators[key] for key in want)
     return Scenario(name, job, tuple(family), tuple(obs), float(x0), schedule,
-                    periodic, indicators, float(tol), workers,
+                    indicators, float(tol), workers,
                     None if override is None else float(override))
 
 
@@ -300,23 +302,20 @@ def parse_scenario(text) -> Scenario:
 
 def _prediction_for(sc: Scenario) -> Prediction:
     if sc.job == "average":
-        fam = build_family(sc.family)
-        periodic = None if sc.periodic is None else (*sc.periodic, sc.x0)
-        return predict(fam, sc.observables, periodic=periodic)
-    factors = tuple(Factor("single_integral", (i,), f.exact_integral)
-                    for i, f in enumerate(sc.indicators))
-    return Prediction(math.prod(f.value for f in factors), factors, True, ())
+        return predict(build_family(sc.family), sc.observables, sc.x0)
+    return predict_intersection(sc.family, sc.indicators)
+
+
+def _prediction_json(pred: Prediction) -> dict:
+    return {"value": pred.value, "applicable": pred.applicable,
+            "caveats": list(pred.caveats),
+            "derivation": [dataclasses.asdict(f) for f in pred.derivation]}
 
 
 def _trace_for(sc: Scenario):
     if sc.job == "average":
-        fam = build_family(sc.family)
-        if sc.periodic is not None:
-            g, s_map = sc.periodic
-            return engine.periodic_factor_average(
-                fam, sc.observables, g, s_map, sc.x0, sc.schedule, sc.workers)
-        return engine.multiple_average(fam, sc.observables, sc.x0, sc.schedule,
-                                       sc.workers)
+        return engine.multiple_average(build_family(sc.family), sc.observables,
+                                       sc.x0, sc.schedule, sc.workers)
     if sc.job == "correlation":
         return engine.correlation_average(sc.family[0], *sc.indicators,
                                           sc.schedule, sc.workers)
@@ -345,13 +344,7 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
         "name": sc.name,
         "job": sc.job,
         "n_max": sc.schedule.checkpoints[-1],
-        "prediction": {
-            "value": pred.value,
-            "applicable": pred.applicable,
-            "caveats": list(pred.caveats),
-            "derivation": [{"kind": f.kind, "indices": list(f.indices),
-                            "value": f.value} for f in pred.derivation],
-        },
+        "prediction": _prediction_json(pred),
         "measured": trace.final,
         "est_tail": trace.est_tail,
         "tolerance": sc.tolerance,
@@ -389,7 +382,6 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
 
 _SQRT2 = ScalarConstant.surd(0, 1, 2)
 _SQRT3 = ScalarConstant.surd(0, 1, 3)
-_SQRT5 = ScalarConstant.surd(0, 1, 5)
 _R2 = dynsys.rotation(_SQRT2, "R_sqrt2")
 _R3 = dynsys.rotation(_SQRT3, "R_sqrt3")
 _FP = observables.frac_part()
@@ -418,8 +410,8 @@ def repeated_rotation(sched, workers, tol_scale):
 
 def periodic_factor(sched, workers, tol_scale):
     return [_row(f"periodic-factor k={k} x0={x0}",
-                 engine.periodic_factor_average(
-                     build_family([_R2]), [_FP], _FP, dynsys.finite_rotation(k),
+                 engine.multiple_average(
+                     build_family([_R2, dynsys.finite_rotation(k)]), [_FP, _FP],
                      x0, sched, workers).final,
                  frac(k * x0) / (2 * k) + (k - 1) / (4 * k), 2e-3 * tol_scale)
             for k in (2, 3, 5) for x0 in (0.1, 0.37)]
@@ -458,20 +450,35 @@ def triple_intersection(sched, workers, tol_scale):
     return [_row("triple intersection", tr.final, 0.125, 5e-3 * tol_scale)]
 
 
+def _random_member(rng, radicands):
+    """A rotation by a surd with a rational part, a power of a surd rotation,
+    or a finite rotation; surds draw from the family's radicands."""
+    m = rng.choice(radicands)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return dynsys.rotation(ScalarConstant.surd(
+            rng.choice((0, "1/2", "1/3")), rng.choice((1, -1, "1/2")), m))
+    if kind == 1:
+        return dynsys.rotation_power(ScalarConstant.surd(0, 1, m),
+                                     rng.randint(1, 3))
+    return dynsys.finite_rotation(rng.randint(2, 4))
+
+
 def randomized_oracle_cross_validation(sched, workers, tol_scale):
     rng = random.Random(20240824)
     worst = 0.0
-    for _ in range(20):
-        d = rng.choice((2, 3))
-        fam = build_family([dynsys.rotation(rng.choice((_SQRT2, _SQRT3, _SQRT5)))
-                            for _ in range(d)])
+    for _ in range(10):
+        radicands = rng.sample((2, 3, 5), 2)
+        fam = build_family([_random_member(rng, radicands)
+                            for _ in range(rng.choice((2, 3)))])
         fs = [observables.trig_poly(
             [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(6)])
-            for _ in range(d)]
-        pred = predict(fam, fs)
-        tr = engine.multiple_average(fam, fs, rng.random(), sched, workers)
-        worst = max(worst, abs(tr.final - pred.value) if pred.applicable
-                    else math.inf)
+            for _ in fam.members]
+        for x0 in (rng.random(), rng.random()):
+            pred = predict(fam, fs, x0)
+            tr = engine.multiple_average(fam, fs, x0, sched, workers)
+            worst = max(worst, abs(tr.final - pred.value) if pred.applicable
+                        else math.inf)
     return [_row("randomized oracle cross-validation (max dev)", worst, 0.0,
                  5e-3 * tol_scale)]
 
@@ -510,8 +517,8 @@ def determinism_and_parallel_consistency(sched, workers, tol_scale):
                                           0.3, sched, w),
         lambda w: engine.multiple_average(build_family([_R2, _R2]), [_FP, _FP],
                                           0.3, sched, w),
-        lambda w: engine.periodic_factor_average(
-            build_family([_R2]), [_FP], _FP, dynsys.finite_rotation(3), 0.37,
+        lambda w: engine.multiple_average(
+            build_family([_R2, dynsys.finite_rotation(3)]), [_FP, _FP], 0.37,
             sched, w),
     )
     worst, repeats = 0.0, True
@@ -607,12 +614,8 @@ def main(argv=None) -> int:
             return 2
         if args.command == "predict":
             pred = _prediction_for(sc)
-            print(json.dumps({
-                "name": sc.name, "value": pred.value,
-                "applicable": pred.applicable, "caveats": list(pred.caveats),
-                "derivation": [{"kind": f.kind, "indices": list(f.indices),
-                                "value": f.value} for f in pred.derivation],
-            }, indent=2, sort_keys=True))
+            print(json.dumps({"name": sc.name, **_prediction_json(pred)},
+                             indent=2, sort_keys=True))
             return 0
         return run_scenario(sc, args.outdir)
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from . import _dd
-from .unitmath import (ScalarConstant, UnitPoint, frac, orbit_point,
-                       rational_independence)
+from .observables import MAX_PRODUCT_FACTORS
+from .unitmath import ScalarConstant, rational_independence
 
-MAX_FAMILY_SIZE = 8
+# members of a scenario's family; its periodic factor is one more member
+MAX_FAMILY_SIZE = MAX_PRODUCT_FACTORS - 1
 
 
 @dataclass(frozen=True)
@@ -58,89 +59,55 @@ def effective_rotation(spec: TransformSpec) -> ScalarConstant:
     raise ValueError(f"unknown transform kind {spec.kind!r}")
 
 
-def _canonical_constant(c: ScalarConstant):
-    """Hashable key for spec equality: same kind, same symbolic constants.
+@dataclass(frozen=True)
+class WeylTerm:
+    """A rotation constant written as a + c * beta_m * sqrt(m)."""
 
-    Deliberately no mod-1 reduction: rotations by alpha and alpha+1 act
-    identically on the circle, but the partition keeps them apart and the
-    prediction oracle then rejects the family through its periodic-quotient
-    check rather than silently merging them.
+    a: Fraction
+    c: int  # 0 for a rational constant
+    m: int  # square-free radicand; 1 for a rational constant
+
+
+def weyl_form(specs, bound: int = 10) -> tuple[WeylTerm | None, ...]:
+    """Each member's constant as a + c * beta_m * sqrt(m): a rational, c an
+    integer, and one beta_m > 0 per radicand m, the gcd of the sqrt(m)
+    coefficients of the members over m.
+
+    A literal counts as rational only when the bounded relation search
+    proves it so; any other literal gives None.
     """
-    if c.kind == "rational":
-        return ("rational", c.rat)
-    if c.kind == "surd":
-        return ("surd", c.surd_a, c.surd_b, c.surd_m)
-    return ("literal", c.lit)
-
-
-def finite_order(spec: TransformSpec) -> int:
-    """Order of a finite-order spec; raises for irrational rotations."""
-    c = effective_rotation(spec)
-    if not c.is_rational():
-        raise ValueError("transform does not have finite order")
-    return (c.as_fraction() % 1).denominator
+    parts = []
+    for spec in specs:
+        k = effective_rotation(spec)
+        if k.kind == "surd":
+            parts.append((k.surd_a, k.surd_b, k.surd_m))
+        elif k.kind == "rational":
+            parts.append((k.rat, Fraction(0), 1))
+        else:
+            v = rational_independence([k], bound=bound, tol=1e-9)
+            parts.append((Fraction(-v.relation[0], v.relation[1]), Fraction(0), 1)
+                         if v.status == "dependent" else None)
+    beta = {}
+    for _, b, m in filter(None, parts):
+        if b:
+            g = beta.get(m, Fraction(0))
+            beta[m] = Fraction(math.gcd(g.numerator, b.numerator),
+                               math.lcm(g.denominator, b.denominator))
+    return tuple(p and WeylTerm(p[0], int(p[1] / beta[p[2]]) if p[1] else 0, p[2])
+                 for p in parts)
 
 
 @dataclass(frozen=True)
 class TransformFamily:
     members: tuple[TransformSpec, ...]
-    equality_partition: tuple[tuple[int, ...], ...]
 
 
 def build_family(specs) -> TransformFamily:
-    """Group extensionally-equal members (0-based index groups, in order of
-    first appearance)."""
+    """A family of at most MAX_PRODUCT_FACTORS members, one observable each:
+    a scenario's family and its periodic factor."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("family must be nonempty")
-    if len(specs) > MAX_FAMILY_SIZE:
-        raise ValueError(f"family size capped at {MAX_FAMILY_SIZE}")
-    groups: dict = {}
-    for i, s in enumerate(specs):
-        groups.setdefault(_canonical_constant(effective_rotation(s)), []).append(i)
-    partition = tuple(tuple(g) for g in groups.values())
-    return TransformFamily(specs, partition)
-
-
-def apply(spec: TransformSpec, x, n: int) -> UnitPoint:
-    """T^n x."""
-    return orbit_point(UnitPoint.from_real(x), effective_rotation(spec), n)
-
-
-def quotient_transform(a: TransformSpec, b: TransformSpec) -> TransformSpec:
-    """Spec of a o b^{-1}: rotation by alpha_a - alpha_b.
-
-    Mixed surd bases cannot subtract exactly and fall back to a literal
-    carrying the ``inexact`` precision flag.
-    """
-    ea, eb = effective_rotation(a), effective_rotation(b)
-    diff = ea.sub(eb)
-    if diff is None:
-        h, l = _dd.dd_add(ea.dd(), _dd.dd_neg(eb.dd()))
-        diff = ScalarConstant.literal(h + l, inexact=True)
-    return rotation(diff, label=f"({a.label or 'a'})({b.label or 'b'})^-1")
-
-
-@dataclass(frozen=True)
-class RotationVerdict:
-    status: str  # "ergodic" | "periodic" | "undetermined-up-to-bound"
-    period: int | None = None
-    bound: int | None = None
-
-
-def is_ergodic_rotation(spec: TransformSpec, bound: int = 10) -> RotationVerdict:
-    """Rational rotations are periodic, symbolic irrationals uniquely
-    ergodic; literals get a bounded integer-relation search."""
-    c = effective_rotation(spec)
-    if c.is_rational():
-        return RotationVerdict("periodic", period=(c.as_fraction() % 1).denominator)
-    if c.kind == "surd":
-        return RotationVerdict("ergodic")
-    v = rational_independence([c], bound=bound, tol=1e-9)
-    if v.status == "dependent":
-        k0, k1 = v.relation
-        if k0 == 0:
-            return RotationVerdict("periodic", period=1)
-        return RotationVerdict("periodic",
-                               period=abs(k1) // math.gcd(abs(k0), abs(k1)))
-    return RotationVerdict("undetermined-up-to-bound", bound=bound)
+    if len(specs) > MAX_PRODUCT_FACTORS:
+        raise ValueError(f"family size capped at {MAX_PRODUCT_FACTORS}")
+    return TransformFamily(specs)

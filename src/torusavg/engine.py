@@ -21,7 +21,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from . import _dd
-from .dynsys import TransformFamily, TransformSpec, effective_rotation, finite_order
+from .dynsys import TransformFamily, TransformSpec, effective_rotation
 from .observables import Observable, evaluate_array
 from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac, orbit_point
 
@@ -109,7 +109,7 @@ def _wrap(o: np.ndarray, t: np.ndarray) -> np.ndarray:
     return o
 
 
-def _rational_points(x0: UnitPoint, const: ScalarConstant, n0: int, out):
+def rational_points(x0: UnitPoint, const: ScalarConstant, n0: int, out):
     """{x0 + n*p/q} from the exact residue n*p mod q, written to out.  The
     points repeat with period q, so one period is computed and copied."""
     fr = const.as_fraction() % 1
@@ -146,7 +146,7 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
     """
     out, t = ws
     if const.is_rational():
-        return _rational_points(x0, const, n0, out)
+        return rational_points(x0, const, n0, out)
     step = _dd.dd_frac(const.dd())
     for m0 in range(n0, n1, _STEP_MAX):
         m1 = min(n1, m0 + _STEP_MAX)
@@ -334,20 +334,6 @@ def multiple_average(fam: TransformFamily, fs, x0, s: Schedule,
         raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
     job = DiagonalJob(tuple(effective_rotation(m) for m in fam.members), fs,
                       UnitPoint.from_real(x0), s)
-    return run_chunked(job, workers)
-
-
-def periodic_factor_average(fam: TransformFamily, fs, g: Observable,
-                            s_map: TransformSpec, x0, sch: Schedule,
-                            workers: int = 1) -> AverageTrace:
-    """Diagonal average with an extra finite-order factor g(S^n x0)."""
-    fs = tuple(fs)
-    if len(fs) != len(fam.members):
-        raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    finite_order(s_map)  # raises for infinite-order maps
-    consts = tuple(effective_rotation(m) for m in fam.members) + (
-        effective_rotation(s_map),)
-    job = DiagonalJob(consts, fs + (g,), UnitPoint.from_real(x0), sch)
     return run_chunked(job, workers)
 
 

@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _dd
-from .dynsys import TransformSpec, apply, finite_order
 from .unitmath import UnitPoint
 
-MAX_PRODUCT_FACTORS = 8
+# factors of a product: a scenario's 8 members and its periodic factor
+MAX_PRODUCT_FACTORS = 9
 _PANEL_BUDGET = 1 << 20
 
 
@@ -87,7 +87,7 @@ def piecewise_linear(knots) -> Observable:
 def product(*factors: Observable) -> Observable:
     """Pointwise product wrapper; breakpoints are the union of the factors'."""
     if not 1 <= len(factors) <= MAX_PRODUCT_FACTORS:
-        raise ValueError("product takes 1..8 factors")
+        raise ValueError(f"product takes 1..{MAX_PRODUCT_FACTORS} factors")
     bps = sorted({b for f in factors for b in f.breakpoints})
     return Observable("product", params=tuple(factors), breakpoints=tuple(bps))
 
@@ -168,34 +168,66 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def integrate(fs, q: QuadratureSpec | None = None) -> float:
-    """Integral over [0, 1] of the product of the given observables, by
-    Gauss-Legendre panels split at every breakpoint."""
+def _frequency(f: Observable) -> int:
+    """Largest frequency of f; the rest is polynomial between breakpoints."""
+    if f.kind == "trig_poly":
+        return max((abs(k) for k, _, _ in f.params), default=0)
+    if f.kind == "product":
+        return sum(_frequency(g) for g in f.params)
+    return 0
+
+
+def _preimages(b: float, s: float, c: int):
+    """The t in (0, 1) with {s + c*t} = b, for an integer c."""
+    if c == 0:
+        return ()
+    u = b - s
+    ks = range(math.floor(min(0, c) - u), math.ceil(max(0, c) - u) + 1)
+    return (t for t in ((k + u) / c for k in ks) if 0.0 < t < 1.0)
+
+
+def integrate(fs, q: QuadratureSpec | None = None, maps=None):
+    """Integral over t in [0, 1] of prod_i f_i({s_i + c_i*t}), by
+    Gauss-Legendre panels split at every breakpoint mapped back through
+    t -> s_i + c_i*t, and at least two uniform panels per period of the
+    highest frequency sum_i |c_i| k_i.  ``maps`` gives one (s_i, c_i), c_i
+    an integer, per observable; the default (0, 1) integrates the product
+    itself.  Shifts s_i given as arrays of one length p give the p integrals
+    as an array; the panel budget bounds the panels of all p together, so
+    that no call does more than one budget of work."""
     fs = list(fs)
     if not 1 <= len(fs) <= MAX_PRODUCT_FACTORS:
-        raise ValueError("integrate takes 1..8 observables")
-    if q is None:
-        q = QuadratureSpec()
-    edges = {i / q.panels for i in range(q.panels + 1)}
-    for f in fs:
-        edges.update(b for b in f.breakpoints if 0.0 < b < 1.0)
-    edges = np.array(sorted(edges))
-    if len(edges) - 1 > _PANEL_BUDGET:
+        raise ValueError(f"integrate takes 1..{MAX_PRODUCT_FACTORS} observables")
+    q = q or QuadratureSpec()
+    maps = [(0.0, 1)] * len(fs) if maps is None else list(maps)
+    shifts = np.array([s for s, _ in maps], dtype=np.float64)
+    cs = [c for _, c in maps]
+    uniform = max(q.panels, 2 * sum(abs(c) * _frequency(f) for f, c in zip(fs, cs)))
+    panels = uniform + sum(abs(c) * len(f.breakpoints) for f, c in zip(fs, cs))
+    total = panels * shifts[0].size
+    if total > _PANEL_BUDGET:
         raise QuadratureBudgetError(
-            f"{len(edges) - 1} panels after refinement exceeds {_PANEL_BUDGET}")
-    x, w = _gl_nodes(q.nodes_per_panel)
+            f"up to {total} panels after refinement exceeds {_PANEL_BUDGET}")
+    out = [_integrate_panels(fs, uniform, q.nodes_per_panel, ss, cs)
+           for ss in shifts.reshape(len(fs), -1).T]
+    return out[0] if shifts.ndim == 1 else np.array(out)
+
+
+def _integrate_panels(fs, uniform: int, nodes: int, shifts, cs) -> float:
+    edges = np.sort(np.concatenate(
+        [np.arange(uniform + 1) / uniform]
+        + [np.fromiter(_preimages(b, s, c), float)
+           for f, s, c in zip(fs, shifts, cs) for b in f.breakpoints]))
+    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
+    x, w = _gl_nodes(nodes)
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     vals = np.ones_like(pts)
-    for f in fs:
-        vals *= evaluate_array(f, pts)
+    xs = np.empty_like(pts)
+    for f, s, c in zip(fs, shifts, cs):
+        np.multiply(pts, c, out=xs)
+        xs += s
+        vals *= evaluate_array(f, np.mod(xs, 1.0, out=xs))
     wts = (half[:, None] * w[None, :]).ravel()
     return _dd.v_sum(vals * wts)
-
-
-def periodic_orbit_mean(g: Observable, s: TransformSpec, x) -> float:
-    """(1/k) sum_{r<k} g(S^r x) for a finite-order map S."""
-    k = finite_order(s)
-    x = UnitPoint.from_real(x)
-    return math.fsum(evaluate(g, apply(s, x, r)) for r in range(k)) / k

@@ -1,95 +1,148 @@
 """Closed-form limit predictions and measured-vs-predicted comparison.
 
-The limit of a diagonal average factorizes over the family's equality
-partition: each group of identical transformations contributes the Haar
-integral of the product of its observables, and an optional finite-order
-factor contributes its periodic orbit mean.  Applicability requires every
-cross-group quotient rotation to be ergodic (the checkable stand-in for
-irreducibility on the circle).
+Write each member's constant as a_i + c_i * beta_m * sqrt(m)
+(``dynsys.weyl_form``) and let q be the lcm of the a-denominators.  As 1
+and the sqrt(m) of distinct square-free m are linearly independent over
+Q, the sequence (n mod q, {n beta_m sqrt(m)} for each m) is equidistributed
+in Z/q x T^k (Weyl 1916), so the diagonal average from x0 tends to
+
+    (1/q) sum_{j<q} prod_{rational i} f_i({x0 + j a_i}) prod_m G_m[j mod q_m],
+    G_m[r] = int_0^1 prod_{i over m} f_i(x0 + r a_i + c_i t) dt,
+
+with q_m the lcm of the a-denominators over m, one quadrature per residue
+of a period p of G_m that divides q_m (``_shift_period``).  A literal
+constant that the relation search does not prove rational makes the
+prediction not applicable, and so do a period q above MAX_PERIOD and the
+quadratures of a class exceeding the panel budget of ``integrate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-from .dynsys import (RotationVerdict, TransformFamily, TransformSpec,
-                     effective_rotation, finite_order, is_ergodic_rotation,
-                     quotient_transform)
-from .engine import AverageTrace, Schedule, correlation_average
-from .observables import Observable, QuadratureSpec, integrate, periodic_orbit_mean
+import numpy as np
+
+from . import _dd
+from .dynsys import TransformFamily, weyl_form
+from .engine import AverageTrace, rational_points
+from .observables import (QuadratureBudgetError, QuadratureSpec,
+                          evaluate_array, integrate)
+from .unitmath import ScalarConstant, UnitPoint
+
+MAX_PERIOD = 1 << 20
 
 
 @dataclass(frozen=True)
 class Factor:
-    kind: str  # "group_integral" | "single_integral" | "periodic_mean"
+    """The members over one radicand m and the period of their rational
+    parts; m = 1 holds the rational members, with the period q of the sum."""
+
+    radicand: int
     indices: tuple[int, ...]
-    value: float
+    period: int
 
 
 @dataclass(frozen=True)
 class Prediction:
-    value: float
+    value: float | None  # None when not applicable
     derivation: tuple[Factor, ...]
     applicable: bool
     caveats: tuple[str, ...]
 
 
-def _quotient_verdict(a: TransformSpec, b: TransformSpec,
-                      bound: int) -> RotationVerdict:
-    """Ergodicity of a o b^{-1}, keeping symbolic knowledge that the
-    float-literal fallback of quotient_transform would lose: the difference
-    of surds over distinct square-free bases is irrational."""
-    ea, eb = effective_rotation(a), effective_rotation(b)
-    if (ea.kind == "surd" and eb.kind == "surd" and ea.surd_m != eb.surd_m):
-        return RotationVerdict("ergodic")
-    return is_ergodic_rotation(quotient_transform(a, b), bound)
+def _resolve(members, bound):
+    """(weyl_form terms, derivation, caveats); the caveats name every
+    literal the relation search leaves unresolved."""
+    terms = weyl_form(members, bound)
+    caveats = tuple(f"member {i}: literal constant not proven rational by the "
+                    f"relation search up to bound {bound}"
+                    for i, t in enumerate(terms) if t is None)
+    if caveats:
+        return terms, (), caveats
+    classes = {1: []}
+    for i, t in enumerate(terms):
+        classes.setdefault(t.m, []).append(i)
+    q = math.lcm(*(t.a.denominator for t in terms))
+    derivation = tuple(
+        Factor(m, tuple(idx), q if m == 1 else
+               math.lcm(*(terms[i].a.denominator for i in idx)))
+        for m, idx in classes.items())
+    return terms, derivation, ()
 
 
-def predict(fam: TransformFamily, fs, periodic=None, bound: int = 10,
+def _bezout(a: int, b: int):
+    """(g, x, y) with a*x + b*y = g, |g| = gcd(a, b)."""
+    if not b:
+        return a, 1, 0
+    g, x, y = _bezout(b, a % b)
+    return g, y, x - a // b * y
+
+
+def _shift_period(ts) -> int:
+    """The least p with p*a_i = c_i*tau (mod 1) for one tau and every member,
+    so that t -> t + tau gives G_m[r + p] = G_m[r].  The c_i are coprime
+    (beta_m is the gcd of their coefficients), so sum u_i c_i = 1 for
+    integers u_i, tau = p*A (mod 1) with A = sum u_i a_i, and p is the lcm
+    of the denominators of c_i*A - a_i, a divisor of q_m."""
+    g, u = 0, []
+    for t in ts:
+        g, x, y = _bezout(g, t.c)
+        u = [x * v for v in u] + [y]
+    a = sum(v * t.a for v, t in zip(u, ts)) / g
+    return math.lcm(*((t.c * a - t.a).denominator for t in ts))
+
+
+def predict(fam: TransformFamily, fs, x0=0.0, bound: int = 10,
             quad: QuadratureSpec | None = None) -> Prediction:
-    """Predicted limit of the diagonal average for this family.
-
-    ``periodic`` is an optional (g, s_map, x0) triple adding a finite-order
-    factor; its contribution depends on x0, so the prediction is bound to
-    that starting point.
-    """
+    """Predicted limit of the diagonal average from x0 for this family."""
     fs = list(fs)
     if len(fs) != len(fam.members):
         raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    factors = []
-    caveats = []
-    applicable = True
-    for group in fam.equality_partition:
-        obs = [fs[i] for i in group]
-        if len(obs) == 1:
-            val = obs[0].exact_integral
-            if val is None:
-                val = integrate(obs, quad)
-            factors.append(Factor("single_integral", tuple(group), val))
-        else:
-            factors.append(Factor("group_integral", tuple(group),
-                                  integrate(obs, quad)))
-    if len(fam.equality_partition) > 1:
-        caveats.append("irreducibility replaced by the ergodic-quotient "
-                       "surrogate on the circle")
-        for ga, gb in combinations(fam.equality_partition, 2):
-            i, j = ga[0], gb[0]
-            verdict = _quotient_verdict(fam.members[i], fam.members[j], bound)
-            if verdict.status != "ergodic":
-                applicable = False
-                detail = (f" with period {verdict.period}"
-                          if verdict.period is not None else "")
-                caveats.append(f"quotient of members {i} and {j} is "
-                               f"{verdict.status}{detail}")
-    if periodic is not None:
-        g, s_map, x0 = periodic
-        finite_order(s_map)  # raises for infinite-order maps
-        factors.append(Factor("periodic_mean", (),
-                              periodic_orbit_mean(g, s_map, x0)))
-    value = math.prod(f.value for f in factors)
-    return Prediction(value, tuple(factors), applicable, tuple(caveats))
+    terms, derivation, caveats = _resolve(fam.members, bound)
+    if caveats:
+        return Prediction(None, derivation, False, caveats)
+    q = derivation[0].period
+    if q > MAX_PERIOD:
+        return Prediction(None, derivation, False,
+                          (f"period {q} exceeds {MAX_PERIOD}",))
+    quad = quad or QuadratureSpec()
+    x0 = UnitPoint.from_real(x0)
+
+    def shifts(a, n):  # {x0 + r*a} for r < n, as the engine computes them
+        return rational_points(x0, ScalarConstant.rational(a), 0, np.empty(n))
+
+    vals = np.ones(q)
+    for i in derivation[0].indices:
+        vals *= evaluate_array(fs[i], shifts(terms[i].a, q))
+    for f in derivation[1:]:
+        obs, ts = [fs[i] for i in f.indices], [terms[i] for i in f.indices]
+        if len(obs) == 1 and obs[0].exact_integral is not None:
+            vals *= obs[0].exact_integral
+            continue
+        p = _shift_period(ts)
+        try:
+            g = integrate(obs, quad, [(shifts(t.a, p), t.c) for t in ts])
+        except QuadratureBudgetError as e:
+            return Prediction(None, derivation, False,
+                              (f"quadrature over radicand {f.radicand}: {e}",))
+        vals *= g[np.arange(q) % p]
+    return Prediction(_dd.v_sum(vals) / q, derivation, True, ())
+
+
+def predict_intersection(members, indicators, bound: int = 10) -> Prediction:
+    """Limit of (1/N) sum_n len(T1^-n A1 ∩ ... ∩ C): the product of the
+    arc lengths when every member is a surd rotation and no two share a
+    radicand, so that the orbit is equidistributed on the torus; otherwise
+    not applicable."""
+    terms, derivation, caveats = _resolve(members, bound)
+    if not caveats and (derivation[0].indices or
+                        any(len(f.indices) > 1 for f in derivation[1:])):
+        caveats = ("members are not surd rotations over distinct radicands",)
+    if caveats:
+        return Prediction(None, derivation, False, caveats)
+    return Prediction(math.prod(f.exact_integral for f in indicators),
+                      derivation, True, ())
 
 
 @dataclass(frozen=True)
@@ -111,33 +164,3 @@ def compare(pred: Prediction, trace: AverageTrace, tol: float) -> ComparisonRepo
         raise ValueError("prediction is not applicable; nothing to compare")
     err = abs(trace.final - pred.value)
     return ComparisonReport(err <= tol, err, trace.est_tail)
-
-
-@dataclass(frozen=True)
-class PairReport:
-    expected: float
-    measured: float
-    error: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ErgodicityReport:
-    pairs: tuple[PairReport, ...]
-    verdict: str  # "consistent-with-ergodic" | "not-ergodic"
-
-
-def ergodicity_report(t: TransformSpec, pairs, s: Schedule, tol: float,
-                      workers: int = 1) -> ErgodicityReport:
-    """Correlation diagnostic: every pair (A, B) should average to
-    len(A)*len(B) when T is ergodic; a single passing pair proves nothing,
-    which is why a list is taken."""
-    results = []
-    for A, B in pairs:
-        expected = (A.params[1] - A.params[0]) * (B.params[1] - B.params[0])
-        trace = correlation_average(t, A, B, s, workers)
-        err = abs(trace.final - expected)
-        results.append(PairReport(expected, trace.final, err, err <= tol))
-    verdict = ("consistent-with-ergodic" if all(r.passed for r in results)
-               else "not-ergodic")
-    return ErgodicityReport(tuple(results), verdict)

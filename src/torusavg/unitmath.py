@@ -48,8 +48,7 @@ class ScalarConstant:
 
     Three kinds: an exact rational, a quadratic surd a + b*sqrt(m) with
     rational a, b and square-free m, or a plain float literal.  Symbolic
-    kinds survive subtraction and integer scaling exactly; ``inexact``
-    marks literals produced by rounding a symbolic quantity.
+    kinds survive negation and integer scaling exactly.
     """
 
     kind: str  # "rational" | "surd" | "literal"
@@ -58,7 +57,6 @@ class ScalarConstant:
     surd_b: Fraction | None = None
     surd_m: int | None = None
     lit: float | None = None
-    inexact: bool = False
 
     @staticmethod
     def rational(p, q=1) -> "ScalarConstant":
@@ -81,11 +79,11 @@ class ScalarConstant:
         return ScalarConstant("surd", surd_a=a, surd_b=b, surd_m=r)
 
     @staticmethod
-    def literal(v: float, inexact: bool = False) -> "ScalarConstant":
+    def literal(v: float) -> "ScalarConstant":
         v = float(v)
         if not math.isfinite(v):
             raise ValueError("literal constant must be finite")
-        return ScalarConstant("literal", lit=v, inexact=inexact)
+        return ScalarConstant("literal", lit=v)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -120,30 +118,14 @@ class ScalarConstant:
         if self.kind == "surd":
             return ScalarConstant("surd", surd_a=-self.surd_a,
                                   surd_b=-self.surd_b, surd_m=self.surd_m)
-        return ScalarConstant.literal(-self.lit, self.inexact)
+        return ScalarConstant.literal(-self.lit)
 
     def mul_int(self, n: int) -> "ScalarConstant":
         if self.kind == "rational":
             return ScalarConstant.rational(self.rat * n)
         if self.kind == "surd":
             return ScalarConstant.surd(self.surd_a * n, self.surd_b * n, self.surd_m)
-        return ScalarConstant.literal(self.lit * n, self.inexact)
-
-    def sub(self, other: "ScalarConstant"):
-        """Exact difference, or None when the kinds cannot subtract exactly."""
-        a, b = self, other
-        if a.kind == "literal" or b.kind == "literal":
-            return None
-        aa = a.surd_a if a.kind == "surd" else a.rat
-        ab = a.surd_b if a.kind == "surd" else Fraction(0)
-        ba = b.surd_a if b.kind == "surd" else b.rat
-        bb = b.surd_b if b.kind == "surd" else Fraction(0)
-        if a.kind == "surd" and b.kind == "surd" and a.surd_m != b.surd_m:
-            return None
-        m = a.surd_m if a.kind == "surd" else (b.surd_m if b.kind == "surd" else 1)
-        if ab == bb:
-            return ScalarConstant.rational(aa - ba)
-        return ScalarConstant.surd(aa - ba, ab - bb, m)
+        return ScalarConstant.literal(self.lit * n)
 
 
 @dataclass(frozen=True)

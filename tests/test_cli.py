@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from torusavg.cli import (ScenarioError, main, parse_scenario, run_scenario,
-                          trace_csv, verify_builtin)
+from torusavg.cli import (ScenarioError, _prediction_for, main,
+                          parse_scenario, run_scenario, trace_csv,
+                          verify_builtin)
+from torusavg.dynsys import finite_rotation
 from torusavg.engine import MIN_RATIO, Schedule
 from torusavg.unitmath import ScalarConstant
 
@@ -182,6 +184,15 @@ def test_parse_refuses_mistyped_values(path, value):
     assert any(m.startswith(where.lstrip(".")) for m in exc.value.errors)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_parse_refuses_nonpositive_periodic_order(k):
+    # the periodic factor is a finite rotation of order k
+    doc = dict(TYPED, periodic={"g": {"kind": "frac_part"}, "k": k})
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert any(m.startswith("periodic") for m in exc.value.errors)
+
+
 def test_shipped_example_family():
     pkg = resources.files("torusavg") / "scenarios"
     sc = parse_scenario((pkg / "distinct-rotations.json").read_text())
@@ -225,19 +236,108 @@ def test_run_scenario_negative_control_fails(tmp_path):
     assert report["passed"] is False
 
 
+INAPPLICABLE = json.dumps({
+    "name": "inapplicable",
+    "family": [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
+               {"kind": "rotation", "alpha": {"literal": 0.41421356237309503}}],
+    "observables": [{"kind": "frac_part"}, {"kind": "frac_part"}],
+    "schedule": {"checkpoints": [1000]},
+    "tolerance": 0.01,
+})
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_run_scenario_inapplicable_reports_null(tmp_path):
+    # the relation search cannot prove the literal rational
+    sc = parse_scenario(INAPPLICABLE)
+    assert run_scenario(sc, tmp_path) == 0
+    text = (tmp_path / "inapplicable.report.json").read_text()
+    report = _strict_json(text)
+    assert report["passed"] is None and report["final_error"] is None
+    assert report["prediction"]["applicable"] is False
+    assert report["prediction"]["value"] is None
+    assert '"value": null' in text
+
+
+def test_main_predict_inapplicable_prints_null(tmp_path, capsys):
+    p = tmp_path / "sc.json"
+    p.write_text(INAPPLICABLE)
+    assert main(["predict", str(p)]) == 0
+    text = capsys.readouterr().out
+    out = _strict_json(text)
+    assert out["value"] is None and out["applicable"] is False
+    assert '"value": null' in text
+
+
+def test_correlation_with_finite_rotation_is_inapplicable(tmp_path):
+    # x -> x + 1/2 is not ergodic: the average of len(T^-n A ∩ A) for
+    # A = [0, 0.3) is (0.3 + 0)/2 = 0.15, not len(A)**2 = 0.09
     sc = parse_scenario(json.dumps({
-        "name": "inapplicable",
-        "family": [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
-                   {"kind": "rotation", "alpha": {"surd": {"a": "1/2", "m": 2}}}],
-        "observables": [{"kind": "frac_part"}, {"kind": "frac_part"}],
+        "name": "corr-finite",
+        "job": "correlation",
+        "family": [{"kind": "finite_rotation", "q": 2}],
+        "indicators": {"A": {"kind": "indicator", "a": 0.0, "b": 0.3},
+                       "B": {"kind": "indicator", "a": 0.0, "b": 0.3}},
         "schedule": {"checkpoints": [1000]},
         "tolerance": 0.01,
     }))
     assert run_scenario(sc, tmp_path) == 0
-    report = json.loads((tmp_path / "inapplicable.report.json").read_text())
-    assert report["passed"] is None and report["final_error"] is None
+    report = _strict_json((tmp_path / "corr-finite.report.json").read_text())
     assert report["prediction"]["applicable"] is False
+    assert report["prediction"]["value"] is None and report["passed"] is None
+    assert report["measured"] == pytest.approx(0.15, abs=1e-15)
+
+
+@pytest.mark.parametrize("job, family, applicable", [
+    ("correlation", [{"kind": "rotation", "alpha": {"surd": {"a": "1/2", "m": 2}}}],
+     True),
+    ("correlation", [{"kind": "rotation", "alpha": {"literal": 0.25}}], False),
+    ("triple", [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
+                {"kind": "rotation", "alpha": {"surd": {"m": 3}}}], True),
+    ("triple", [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
+                {"kind": "rotation_power", "alpha": {"surd": {"m": 2}}, "p": 2}],
+     False),
+    ("triple", [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
+                {"kind": "finite_rotation", "q": 3}], False),
+])
+def test_intersection_prediction_needs_distinct_radicands(job, family,
+                                                          applicable):
+    half = {"kind": "indicator", "a": 0.0, "b": 0.5}
+    sc = parse_scenario(json.dumps({
+        "name": "arcs", "job": job, "family": family,
+        "indicators": {k: half for k in "ABC"[:len(family) + 1]},
+        "schedule": {"checkpoints": [10]}, "tolerance": 0.01}))
+    pred = _prediction_for(sc)
+    assert pred.applicable is applicable
+    assert pred.value == (0.5 ** len(sc.indicators) if applicable else None)
+
+
+def test_largest_family_with_periodic_factor(tmp_path):
+    # eight members plus the periodic factor make nine inside the program
+    doc = {
+        "name": "nine",
+        "family": [{"kind": "rotation", "alpha": {"surd": {"m": m}}}
+                   for m in (2, 3, 5, 6, 7, 10, 11, 13)],
+        "observables": [{"kind": "frac_part"}] * 8,
+        "periodic": {"g": {"kind": "frac_part"}, "k": 3},
+        "x0": 0.1,
+        "schedule": {"n_max": 20000},
+        "tolerance": 0.01,
+    }
+    sc = parse_scenario(json.dumps(doc))
+    assert len(sc.family) == len(sc.observables) == 9
+    assert sc.family[-1] == finite_rotation(3)
+    pred = _prediction_for(sc)
+    # 2**-8 times the orbit mean of {x} over {0.1, 0.4333, 0.7667}
+    assert pred.applicable
+    assert pred.value == pytest.approx(0.43333333333333335 / 256, abs=1e-15)
+    assert run_scenario(sc, tmp_path) == 0
+    assert _strict_json((tmp_path / "nine.report.json").read_text())["passed"]
 
 
 def test_trace_csv_byte_identical(tmp_path):

@@ -4,16 +4,36 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (MAX_FAMILY_SIZE, apply, build_family,
-                             effective_rotation, finite_order,
-                             finite_rotation, identity, is_ergodic_rotation,
-                             quotient_transform, rotation, rotation_power)
-from torusavg.unitmath import ScalarConstant, UnitPoint
+from torusavg.dynsys import (MAX_FAMILY_SIZE, WeylTerm, build_family,
+                             effective_rotation, finite_rotation, identity,
+                             rotation, rotation_power, weyl_form)
+from torusavg.unitmath import ScalarConstant, UnitPoint, orbit_point
 
 mp.mp.dps = 40
 
 SQRT2 = ScalarConstant.surd(0, 1, 2)
 SQRT3 = ScalarConstant.surd(0, 1, 3)
+
+
+def apply(spec, x, n):
+    """T^n x."""
+    return orbit_point(x, effective_rotation(spec), n)
+
+
+def finite_order(spec):
+    """Order of a rational rotation: the denominator of its rational part."""
+    term, = weyl_form([spec])
+    if term.c:
+        raise ValueError("transform does not have finite order")
+    return term.a.denominator
+
+
+def classes(specs):
+    """Member indices grouped by radicand, in order of first appearance."""
+    groups = {}
+    for i, t in enumerate(weyl_form(specs)):
+        groups.setdefault(t.m, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -87,85 +107,66 @@ def test_finite_order():
 
 
 # ---------------------------------------------------------------------------
-# families and equality partition
+# families and the Weyl form of their constants
 
 
-def test_partition_groups_equal_constants():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3), rotation(SQRT2)])
-    assert fam.equality_partition == ((0, 2), (1,))
+def test_weyl_form_groups_by_radicand():
+    specs = [rotation(SQRT2), rotation(SQRT3), rotation(SQRT2)]
+    assert classes(specs) == ((0, 2), (1,))
+    assert weyl_form(specs) == (WeylTerm(0, 1, 2), WeylTerm(0, 1, 3),
+                                WeylTerm(0, 1, 2))
 
 
-def test_partition_recognizes_rotation_power():
-    fam = build_family([rotation(SQRT2), rotation_power(SQRT2, 1)])
-    assert fam.equality_partition == ((0, 1),)
-    fam = build_family([rotation_power(SQRT2, 2), rotation(ScalarConstant.surd(0, 2, 2))])
-    assert fam.equality_partition == ((0, 1),)
+def test_weyl_form_recognizes_rotation_power():
+    assert weyl_form([rotation(SQRT2), rotation_power(SQRT2, 1)]) == (
+        WeylTerm(0, 1, 2),) * 2
+    assert weyl_form([rotation_power(SQRT2, 2),
+                      rotation(ScalarConstant.surd(0, 2, 2))]) == (
+        WeylTerm(0, 1, 2),) * 2
+    # beta = gcd(2/3, 2, 3) = 1/3 for 2/3 sqrt(2), sqrt(8) and 3 sqrt(2)
+    assert weyl_form([rotation(ScalarConstant.surd(0, "2/3", 2)),
+                      rotation(ScalarConstant.surd(0, 1, 8)),
+                      rotation_power(SQRT2, 3)]) == (
+        WeylTerm(0, 2, 2), WeylTerm(0, 6, 2), WeylTerm(0, 9, 2))
 
 
-def test_partition_keeps_integer_shifts_apart():
-    # alpha and alpha + 1 act identically but stay in separate groups; the
-    # prediction oracle rejects such families via its quotient check instead
-    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))])
-    assert fam.equality_partition == ((0,), (1,))
+def test_weyl_form_keeps_integer_shifts_as_rational_parts():
+    # alpha and alpha + 1 act identically; the shift stays in the rational
+    # part, whose denominator 1 adds no period
+    assert weyl_form([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))]) == (
+        WeylTerm(0, 1, 2), WeylTerm(1, 1, 2))
+    assert weyl_form([rotation(ScalarConstant.surd("1/2", -2, 3))]) == (
+        WeylTerm(Fraction(1, 2), -1, 3),)
 
 
-def test_partition_finite_vs_rational():
-    fam = build_family([finite_rotation(3), rotation(ScalarConstant.rational(1, 3))])
-    assert fam.equality_partition == ((0, 1),)
+def test_weyl_form_finite_vs_rational():
+    assert weyl_form([finite_rotation(3), rotation(ScalarConstant.rational(1, 3))]) == (
+        WeylTerm(Fraction(1, 3), 0, 1),) * 2
 
 
 def test_family_size_limits():
+    # a scenario's family and its periodic factor
+    assert len(build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 1)).members) == 9
     with pytest.raises(ValueError):
         build_family([])
     with pytest.raises(ValueError):
-        build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 1))
+        build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 2))
 
 
 # ---------------------------------------------------------------------------
-# quotient transforms
+# literal constants
 
 
-def test_quotient_same_base_exact():
-    q = quotient_transform(rotation(SQRT2), rotation(SQRT2))
-    assert effective_rotation(q).as_fraction() == 0
-
-    q = quotient_transform(rotation(ScalarConstant.rational(1, 2)),
-                           rotation(ScalarConstant.rational(1, 3)))
-    assert effective_rotation(q).as_fraction() == Fraction(1, 6)
-
-    q = quotient_transform(rotation(ScalarConstant.surd(0, 3, 2)), rotation(SQRT2))
-    assert effective_rotation(q) == ScalarConstant.surd(0, 2, 2)
+def test_weyl_form_literal_rational():
+    assert weyl_form([rotation(ScalarConstant.literal(0.5))]) == (
+        WeylTerm(Fraction(1, 2), 0, 1),)
+    assert weyl_form([rotation(ScalarConstant.literal(0.75))]) == (
+        WeylTerm(Fraction(3, 4), 0, 1),)
+    assert finite_order(rotation(ScalarConstant.literal(0.75))) == 4
 
 
-def test_quotient_mixed_bases_is_literal():
-    q = quotient_transform(rotation(SQRT2), rotation(SQRT3))
-    c = effective_rotation(q)
-    assert c.kind == "literal" and c.inexact
-    oracle = float(mp.sqrt(2) - mp.sqrt(3))
-    assert c.lit == pytest.approx(oracle, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# ergodicity verdicts
-
-
-def test_ergodicity_verdicts():
-    assert is_ergodic_rotation(rotation(SQRT2)).status == "ergodic"
-    v = is_ergodic_rotation(rotation(ScalarConstant.rational(1, 2)))
-    assert (v.status, v.period) == ("periodic", 2)
-    v = is_ergodic_rotation(finite_rotation(7))
-    assert (v.status, v.period) == ("periodic", 7)
-    v = is_ergodic_rotation(identity())
-    assert (v.status, v.period) == ("periodic", 1)
-
-
-def test_ergodicity_literal_rational():
-    v = is_ergodic_rotation(rotation(ScalarConstant.literal(0.5)))
-    assert (v.status, v.period) == ("periodic", 2)
-    v = is_ergodic_rotation(rotation(ScalarConstant.literal(0.75)))
-    assert (v.status, v.period) == ("periodic", 4)
-
-
-def test_ergodicity_literal_undetermined():
-    v = is_ergodic_rotation(rotation(ScalarConstant.literal(math.sqrt(2) - 1)))
-    assert v.status == "undetermined-up-to-bound" and v.bound == 10
+def test_weyl_form_literal_unresolved():
+    lit = rotation(ScalarConstant.literal(math.sqrt(2) - 1))
+    assert weyl_form([rotation(SQRT2), lit]) == (WeylTerm(0, 1, 2), None)
+    # a larger bound finds no relation either
+    assert weyl_form([lit], bound=50) == (None,)

@@ -12,8 +12,8 @@ from torusavg.dynsys import (build_family, finite_rotation, rotation,
 from torusavg.engine import (_BLOCKS_PER_WORKER, MAX_N, ArcJob, AverageTrace,
                              DiagonalJob, Schedule, _block_plan, _orbit_block,
                              birkhoff_average, correlation_average,
-                             multiple_average, periodic_factor_average,
-                             run_chunked, triple_intersection_average)
+                             multiple_average, run_chunked,
+                             triple_intersection_average)
 from torusavg.observables import (constant, evaluate, frac_part, indicator,
                                   power_of_frac, product, trig_poly,
                                   value_bounds)
@@ -124,11 +124,11 @@ def test_finite_rotation_average_exact_value():
 
 
 def test_periodic_factor_average_matches_naive():
-    fam = build_family([rotation(SQRT2)])
+    # a periodic factor is one more member, a finite rotation
+    fam = build_family([rotation(SQRT2), finite_rotation(3)])
     g = trig_poly([(1, 1.0, 0.0)])
     sch = Schedule((250,))
-    tr = periodic_factor_average(fam, [frac_part()], g, finite_rotation(3),
-                                 0.2, sch)
+    tr = multiple_average(fam, [frac_part(), g], 0.2, sch)
     total = 0.0
     for n in range(250):
         total += (evaluate(frac_part(), naive_orbit(0.2, math.sqrt(2), n))
@@ -137,19 +137,11 @@ def test_periodic_factor_average_matches_naive():
 
 
 def test_periodic_factor_constant_g_degenerates():
-    fam = build_family([rotation(SQRT2)])
+    fam = build_family([rotation(SQRT2), finite_rotation(4)])
     sch = Schedule((10, 400))
-    a = periodic_factor_average(fam, [frac_part()], constant(1.0),
-                                finite_rotation(4), 0.3, sch)
+    a = multiple_average(fam, [frac_part(), constant(1.0)], 0.3, sch)
     b = birkhoff_average(rotation(SQRT2), frac_part(), 0.3, sch)
     assert a.values == pytest.approx(b.values, abs=1e-14)
-
-
-def test_periodic_factor_rejects_irrational_s():
-    fam = build_family([rotation(SQRT2)])
-    with pytest.raises(ValueError):
-        periodic_factor_average(fam, [frac_part()], frac_part(),
-                                rotation(SQRT3), 0.0, Schedule((10,)))
 
 
 def test_observable_count_mismatch():

@@ -1,18 +1,16 @@
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from torusavg.dynsys import finite_rotation, rotation
-from torusavg.observables import (Observable, QuadratureBudgetError,
-                                  QuadratureSpec, constant, evaluate,
-                                  evaluate_array, frac_part, indicator,
-                                  integrate, periodic_orbit_mean,
+from torusavg.observables import (MAX_PRODUCT_FACTORS, Observable,
+                                  QuadratureBudgetError, QuadratureSpec,
+                                  constant, evaluate, evaluate_array,
+                                  frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, product,
                                   trig_poly, value_bounds)
-from torusavg.unitmath import ScalarConstant, UnitPoint
+from torusavg.unitmath import UnitPoint
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +116,36 @@ def test_integrate_trig_orthogonality():
     assert integrate([c3, c4]) == pytest.approx(0.0, abs=1e-13)
 
 
+def test_integrate_resolves_high_frequencies():
+    # the product's frequency 2 * 5000 exceeds the 4096 uniform panels, so
+    # the panels are raised to two per period
+    c = trig_poly([(5000, 1.0, 0.0)])
+    assert integrate([c, c]) == pytest.approx(0.5, abs=1e-13)
+    assert integrate([product(c, c)]) == pytest.approx(0.5, abs=1e-13)
+    # the same product through the multiplier map t -> 5000 t
+    one = trig_poly([(1, 1.0, 0.0)])
+    assert integrate([one, one], maps=[(0.0, 5000), (0.0, 5000)]) == pytest.approx(
+        0.5, abs=1e-13)
+    with pytest.raises(QuadratureBudgetError):
+        integrate([trig_poly([((1 << 19) + 1, 1.0, 0.0)])])
+
+
+def test_integrate_shift_arrays():
+    fs = [frac_part(), indicator(0.2, 0.7), trig_poly([(3, 1.0, 0.5)])]
+    shifts = [np.array([0.0, 0.25, 0.9]), np.array([0.5, 0.1, 0.3]),
+              np.array([0.7, 0.7, 0.0])]
+    cs = [1, -2, 3]
+    got = integrate(fs, maps=list(zip(shifts, cs)))
+    assert got.shape == (3,)
+    for r in range(3):
+        assert got[r] == integrate(fs, maps=[(s[r], c) for s, c in zip(shifts, cs)])
+    # the budget bounds the panels of all shifts together
+    q = QuadratureSpec(panels=1 << 16, nodes_per_panel=2)
+    many = np.zeros(16)
+    with pytest.raises(QuadratureBudgetError):
+        integrate([frac_part()], q, [(many, 1)])
+
+
 def test_integrate_random_indicators_tight():
     rng = random.Random(42)
     for _ in range(25):
@@ -154,34 +182,8 @@ def test_quadrature_budget():
 def test_integrate_argument_limits():
     with pytest.raises(ValueError):
         integrate([])
+    # one observable per member of a family, periodic factor included
+    assert integrate([frac_part()] * MAX_PRODUCT_FACTORS) == pytest.approx(
+        0.1, abs=1e-13)
     with pytest.raises(ValueError):
-        integrate([frac_part()] * 9)
-
-
-# ---------------------------------------------------------------------------
-# periodic orbit means
-
-
-def test_periodic_orbit_mean_examples():
-    # k = 5, x = 0.37: (1/5) sum {0.37 + r/5} = ({5 * 0.37} + 2) / 5 = 0.57
-    m = periodic_orbit_mean(frac_part(), finite_rotation(5), 0.37)
-    assert m == pytest.approx(0.57, abs=1e-14)
-    # k = 1 reduces to pointwise evaluation
-    assert periodic_orbit_mean(frac_part(), finite_rotation(1), 0.37) == 0.37
-    # k = 2, indicator [0, 0.5): orbit {0.1, 0.6} hits it once
-    m = periodic_orbit_mean(indicator(0.0, 0.5), finite_rotation(2), 0.1)
-    assert m == 0.5
-
-
-def test_periodic_orbit_mean_matches_identity():
-    # (1/k) sum_r {x + r/k} = ({k x} + (k - 1)/2) / k
-    for k in (2, 3, 5, 8, 13):
-        for x in (0.0, 0.12, 0.5, 0.999):
-            m = periodic_orbit_mean(frac_part(), finite_rotation(k), x)
-            rhs = (math.modf(k * x)[0] + (k - 1) / 2) / k
-            assert m == pytest.approx(rhs, abs=1e-12)
-
-
-def test_periodic_orbit_mean_rejects_irrational():
-    with pytest.raises(ValueError):
-        periodic_orbit_mean(frac_part(), rotation(ScalarConstant.surd(0, 1, 2)), 0.0)
+        integrate([frac_part()] * (MAX_PRODUCT_FACTORS + 1))

@@ -1,13 +1,19 @@
 import math
+import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (build_family, finite_rotation, identity,
+from torusavg.dynsys import (WeylTerm, build_family, finite_rotation,
                              rotation, rotation_power)
 from torusavg.engine import Schedule, multiple_average
-from torusavg.observables import (constant, frac_part, indicator,
+from torusavg import oracle
+from torusavg.observables import (QuadratureSpec, constant, frac_part,
+                                  indicator, integrate, piecewise_linear,
                                   power_of_frac, trig_poly)
-from torusavg.oracle import compare, ergodicity_report, predict
+from torusavg.observables import MAX_PRODUCT_FACTORS
+from torusavg.oracle import Factor, _shift_period, compare, predict
 from torusavg.unitmath import ScalarConstant
 
 SQRT2 = ScalarConstant.surd(0, 1, 2)
@@ -24,9 +30,9 @@ def test_predict_distinct_rotations_factorizes():
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(0.25, abs=1e-13)
-    kinds = [f.kind for f in pred.derivation]
-    assert kinds == ["single_integral", "single_integral"]
-    assert any("surrogate" in c for c in pred.caveats)
+    assert pred.derivation == (Factor(1, (), 1), Factor(2, (0,), 1),
+                               Factor(3, (1,), 1))
+    assert pred.caveats == ()
 
 
 def test_predict_repeated_rotation_couples():
@@ -34,9 +40,8 @@ def test_predict_repeated_rotation_couples():
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(1 / 3, abs=1e-12)
-    assert [f.kind for f in pred.derivation] == ["group_integral"]
-    assert pred.derivation[0].indices == (0, 1)
-    assert pred.caveats == ()  # single group: no surrogate involved
+    assert pred.derivation == (Factor(1, (), 1), Factor(2, (0, 1), 1))
+    assert pred.caveats == ()
 
 
 def test_predict_three_distinct_rotations():
@@ -48,32 +53,124 @@ def test_predict_three_distinct_rotations():
 
 def test_predict_with_periodic_factor():
     # limit = (int {x}) * ((1/k) sum_r g(x0 + r/k)); k = 5, x0 = 0.37 gives 0.285
-    fam = build_family([rotation(SQRT2)])
-    pred = predict(fam, [frac_part()],
-                   periodic=(frac_part(), finite_rotation(5), 0.37))
+    fam = build_family([rotation(SQRT2), finite_rotation(5)])
+    pred = predict(fam, [frac_part(), frac_part()], 0.37)
     assert pred.applicable
     assert pred.value == pytest.approx(0.285, abs=1e-13)
-    assert pred.derivation[-1].kind == "periodic_mean"
-    assert pred.derivation[-1].value == pytest.approx(0.57, abs=1e-14)
+    assert pred.derivation == (Factor(1, (1,), 5), Factor(2, (0,), 1))
 
 
-def test_predict_inapplicable_on_periodic_quotient():
-    # members differ by the rational 1/2, so their quotient has period 2
+def test_predict_rational_shift_couples_by_residue():
+    # members differ by the rational 1/2: G[0] = int {t}^2 = 1/3 and
+    # G[1] = int {t}{t + 1/2} = 5/24, so the limit is (1/3 + 5/24)/2 = 13/48
     fam = build_family([rotation(SQRT2),
                         rotation(ScalarConstant.surd("1/2", 1, 2))])
     pred = predict(fam, [frac_part(), frac_part()])
-    assert not pred.applicable
-    assert any("period 2" in c for c in pred.caveats)
+    assert pred.applicable
+    assert pred.value == pytest.approx(13 / 48, abs=1e-12)
+    assert pred.derivation == (Factor(1, (), 2), Factor(2, (0, 1), 2))
+
+
+def test_predict_integer_shift_acts_as_the_same_rotation():
+    # alpha and alpha + 1 act identically on the circle
+    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))])
+    pred = predict(fam, [frac_part(), frac_part()])
+    assert pred.applicable
+    assert pred.value == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_predict_unresolved_literal_is_inapplicable():
+    fam = build_family([rotation(SQRT2),
+                        rotation(ScalarConstant.literal(math.sqrt(2) - 1))])
+    pred = predict(fam, [frac_part(), frac_part()])
+    assert not pred.applicable and pred.value is None
+    assert any("member 1" in c for c in pred.caveats)
     with pytest.raises(ValueError):
         compare(pred, None, 1e-3)
 
 
-def test_predict_integer_shift_is_inapplicable_not_merged():
-    # alpha and alpha + 1 act identically; flagged through the quotient check
-    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))])
-    pred = predict(fam, [frac_part(), frac_part()])
-    assert not pred.applicable
-    assert any("period 1" in c for c in pred.caveats)
+def test_predict_literal_proven_rational():
+    # 0.25 = 1/4: the orbit {0.1 + j/4} has mean 0.475
+    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.literal(0.25))])
+    pred = predict(fam, [frac_part(), frac_part()], 0.1)
+    assert pred.applicable
+    assert pred.value == pytest.approx(0.5 * 0.475, abs=1e-15)
+    assert pred.derivation[0] == Factor(1, (1,), 4)
+
+
+def test_predict_period_cap_is_inapplicable():
+    big = ScalarConstant.rational(1, (1 << 20) + 1)
+    pred = predict(build_family([rotation(big)]), [frac_part()])
+    assert not pred.applicable and pred.value is None
+    assert any("period" in c for c in pred.caveats)
+    ok = ScalarConstant.rational(1, 1 << 20)
+    assert predict(build_family([rotation(ok)]), [frac_part()]).applicable
+
+
+def test_predict_panel_budget_is_inapplicable():
+    # two members over sqrt(2) with multipliers 1 and 2**20 map the
+    # breakpoint of {x} to 2**20 + 1 panel edges
+    fam = build_family([rotation(SQRT2), rotation_power(SQRT2, 1 << 20)])
+    pred = predict(fam, [frac_part(), frac_part()], quad=QuadratureSpec(64, 2))
+    assert not pred.applicable and pred.value is None
+    assert any("panels" in c for c in pred.caveats)
+    fam = build_family([rotation(SQRT2), rotation_power(SQRT2, 1 << 10)])
+    assert predict(fam, [frac_part(), frac_part()],
+                   quad=QuadratureSpec(64, 2)).applicable
+
+
+def test_predict_large_multiplier_listed_first():
+    # c = 10**9 + 7 over sqrt(2) beside c = 1: the shift period comes in
+    # closed form and the quadrature is refused by the panel budget at once
+    big = rotation(ScalarConstant.surd("1/2", 1000000007, 2))
+    fam = build_family([big, rotation(SQRT2)])
+    for f in (frac_part(), trig_poly([(1, 1.0, 0.0)])):
+        pred = predict(fam, [f, f])
+        assert not pred.applicable and pred.value is None
+        assert pred.derivation[1] == Factor(2, (0, 1), 2)
+        assert any("panels" in c for c in pred.caveats)
+    # c = 63 first: the shift 1/2 = 63/2 (mod 1) is common, one quadrature
+    fam = build_family([rotation(ScalarConstant.surd("1/2", 63, 2)),
+                        rotation(ScalarConstant.surd("1/2", 1, 2))])
+    fs = [frac_part(), indicator(0.2, 0.45)]
+    pred = predict(fam, fs, 0.6)
+    assert pred.derivation[1] == Factor(2, (0, 1), 2)
+    with mp.workdps(30):
+        want = mp_formula([(Fraction(1, 2), 63, 2), (Fraction(1, 2), 1, 2)],
+                          fs, 0.6)
+    assert pred.value == pytest.approx(float(want), abs=1e-12)
+
+
+def _searched_period(ts):
+    """The least p | q_m admitting a common shift, by trying every
+    tau = (p a_0 + k) / c_0."""
+    q_m = math.lcm(*(t.a.denominator for t in ts))
+    return next(p for p in range(1, q_m + 1) if q_m % p == 0 and any(
+        all((t.c * tau - p * t.a).denominator == 1 for t in ts)
+        for tau in ((p * ts[0].a + k) / ts[0].c for k in range(abs(ts[0].c)))))
+
+
+def test_shift_period_matches_search():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cs = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(n)]
+        g = math.gcd(*cs)
+        ts = [WeylTerm(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4, 6, 12))),
+                       c // g, 2) for c in cs]
+        assert _shift_period(ts) == _searched_period(ts), ts
+
+
+def test_predict_nine_members_over_one_radicand():
+    # a scenario's 8 members and its periodic factor, all over sqrt(2)
+    n = MAX_PRODUCT_FACTORS
+    fam = build_family([rotation_power(SQRT2, p) for p in range(1, n + 1)])
+    pred = predict(fam, [frac_part()] * n, 0.3)
+    assert pred.applicable
+    with mp.workdps(20):
+        want = mp_formula([(Fraction(0), p, 2) for p in range(1, n + 1)],
+                          [frac_part()] * n, 0.3)
+    assert pred.value == pytest.approx(float(want), abs=1e-12)
 
 
 def test_predict_mixed_surd_bases_applicable():
@@ -83,10 +180,45 @@ def test_predict_mixed_surd_bases_applicable():
 
 
 def test_predict_surd_vs_rational_applicable():
+    # the rational member visits {x0, x0 + 1/3, x0 + 2/3}
     fam = build_family([rotation(SQRT2), finite_rotation(3)])
     pred = predict(fam, [frac_part(), indicator(0.0, 0.5)])
     assert pred.applicable
-    assert pred.value == pytest.approx(0.25, abs=1e-13)
+    assert pred.value == pytest.approx(1 / 3, abs=1e-13)
+    pred = predict(fam, [frac_part(), indicator(0.0, 0.5)], 0.2)
+    assert pred.value == pytest.approx(1 / 6, abs=1e-13)
+
+
+def test_predict_same_radicand_resonance():
+    # cos(2 pi (x + t)) cos(2 pi (x + 2t)) cos(2 pi (x + 3t)) averages to
+    # cos(2 pi x) / 4 over t: the frequencies 1 + 2 - 3 cancel
+    cos = trig_poly([(1, 1.0, 0.0)])
+    fam = build_family([rotation_power(SQRT2, p) for p in (1, 2, 3)])
+    pred = predict(fam, [cos] * 3, 0.3)
+    assert pred.applicable
+    assert pred.value == pytest.approx(math.cos(0.6 * math.pi) / 4, abs=1e-12)
+    assert pred.derivation == (Factor(1, (), 1), Factor(2, (0, 1, 2), 1))
+
+
+@pytest.mark.parametrize("k, x0, f, mean", [
+    (5, 0.37, frac_part(), 0.57),  # ({5 * 0.37} + 2) / 5
+    (1, 0.37, frac_part(), 0.37),
+    (2, 0.1, frac_part(), 0.35),
+    (2, 0.1, indicator(0.0, 0.5), 0.5),  # the orbit {0.1, 0.6} hits it once
+])
+def test_predict_finite_rotation_examples(k, x0, f, mean):
+    pred = predict(build_family([finite_rotation(k)]), [f], x0)
+    assert pred.applicable
+    assert pred.value == pytest.approx(mean, abs=1e-14)
+
+
+def test_predict_finite_rotation_matches_identity():
+    # (1/k) sum_r {x + r/k} = ({k x} + (k - 1)/2) / k
+    for k in (2, 3, 5, 8, 13):
+        for x in (0.0, 0.12, 0.5, 0.999):
+            m = predict(build_family([finite_rotation(k)]), [frac_part()], x)
+            rhs = (math.modf(k * x)[0] + (k - 1) / 2) / k
+            assert m.value == pytest.approx(rhs, abs=1e-12)
 
 
 def test_predict_group_collapse():
@@ -120,8 +252,6 @@ def test_predict_argument_errors():
     fam = build_family([rotation(SQRT2)])
     with pytest.raises(ValueError):
         predict(fam, [frac_part(), frac_part()])
-    with pytest.raises(ValueError):
-        predict(fam, [frac_part()], periodic=(frac_part(), rotation(SQRT3), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +281,118 @@ def test_compare_rejects_bad_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# ergodicity diagnostic
+# cross-validation against mpmath
 
 
-def test_ergodicity_report_ergodic_rotation():
-    pairs = [(indicator(0.0, 0.3), indicator(0.1, 0.6)),
-             (indicator(0.5, 0.9), indicator(0.2, 0.4))]
-    rep = ergodicity_report(rotation(SQRT2), pairs,
-                            Schedule.geometric(50_000), tol=5e-3)
-    assert rep.verdict == "consistent-with-ergodic"
-    for r in rep.pairs:
-        assert r.passed and abs(r.measured - r.expected) == r.error
+def _mp_eval(f, x):
+    """f at x in [0, 1), in mpmath arithmetic."""
+    if f.kind == "frac_part":
+        return x
+    if f.kind == "indicator":
+        a, b = f.params
+        return mp.mpf(a <= x < b)
+    pos = [mp.mpf(p) for p, _ in f.params] + [mp.mpf(1)]
+    vals = [mp.mpf(v) for _, v in f.params] + [mp.mpf(f.params[0][1])]
+    i = max(j for j in range(len(pos) - 1) if pos[j] <= x)
+    return vals[i] + (vals[i + 1] - vals[i]) * (x - pos[i]) / (pos[i + 1] - pos[i])
 
 
-def test_ergodicity_report_catches_periodic_map():
-    # x -> x + 1/2 with A = [0, 0.5), B = [0.5, 1): T^-n A alternates between
-    # the two halves, so the correlation is 0.25, equal to len(A)*len(B) —
-    # a single pair is a false negative for non-ergodicity...
-    A, B = indicator(0.0, 0.5), indicator(0.5, 1.0)
-    rep = ergodicity_report(finite_rotation(2), [(A, B)],
-                            Schedule((1000,)), tol=1e-3)
-    assert rep.verdict == "consistent-with-ergodic"
-    # ...but a second pair exposes the periodicity
-    C = indicator(0.0, 0.25)
-    rep = ergodicity_report(finite_rotation(2), [(A, B), (C, C)],
-                            Schedule((1000,)), tol=1e-3)
-    assert rep.verdict == "not-ergodic"
+def _mp_breakpoints(f):
+    if f.kind == "indicator":
+        return [mp.mpf(b) for b in f.params]
+    return [mp.mpf(0)] + [mp.mpf(p) for p, _ in f.params[1:]
+                          if f.kind == "piecewise_linear"]
 
 
-def test_ergodicity_report_identity_not_ergodic():
-    A, B = indicator(0.0, 0.3), indicator(0.5, 0.9)
-    rep = ergodicity_report(identity(), [(A, B)], Schedule((100,)), tol=1e-3)
-    assert rep.verdict == "not-ergodic"
-    # the identity leaves A where it is: measured overlap is len(A ∩ B) = 0
-    assert rep.pairs[0].measured == pytest.approx(0.0, abs=1e-15)
+def mp_formula(members, fs, x0):
+    """The Weyl limit for members given as (a, c, m), in mpmath:
+    (1/q) sum_j prod_{rational i} f_i({x0 + j a_i}) prod_m G_m(j), each
+    G_m(j) an mpmath.quad split at t = (b - x0 - j a_i + k) / c_i."""
+    frac = lambda x: x - mp.floor(x)
+    x0 = mp.mpf(x0)
+    q = math.lcm(*(a.denominator for a, _, _ in members))
+    total = mp.mpf(0)
+    for j in range(q):
+        term = mp.mpf(1)
+        for m in {m for _, _, m in members}:
+            idx = [i for i, (_, _, mi) in enumerate(members) if mi == m]
+            shift = [frac(x0 + mp.mpf(j * members[i][0].numerator)
+                          / members[i][0].denominator) for i in idx]
+            if m == 1:
+                term *= mp.fprod(_mp_eval(fs[i], s) for i, s in zip(idx, shift))
+                continue
+            cuts = {mp.mpf(0), mp.mpf(1)}
+            for i, s in zip(idx, shift):
+                c = members[i][1]
+                for b in _mp_breakpoints(fs[i]):
+                    for k in range(-abs(c) - 2, abs(c) + 3):
+                        t = (b - s + k) / c
+                        if 0 < t < 1:
+                            cuts.add(t)
+            term *= mp.quad(lambda t: mp.fprod(
+                _mp_eval(fs[i], frac(s + members[i][1] * t))
+                for i, s in zip(idx, shift)), sorted(cuts))
+        total += term
+    return total / q
+
+
+def _random_piecewise(rng):
+    knots = sorted(round(rng.uniform(0.01, 0.99), 3) for _ in range(2))
+    return piecewise_linear([(0.0, round(rng.uniform(-1, 1), 3))]
+                            + [(p, round(rng.uniform(-1, 1), 3)) for p in knots])
+
+
+def _random_case(rng):
+    """Members over sqrt(2), sqrt(3) and the rationals, as (spec, (a, c, m))
+    with multipliers c up to 8, and an indicator, {x} or piecewise-linear
+    observable for each."""
+    members = []
+    for _ in range(rng.randint(2, 4)):
+        a = Fraction(rng.choice((0, 1, 1, 2)), rng.choice((1, 2, 3)))
+        m, c = rng.choice((2, 2, 3, 1)), rng.choice((-3, -1, 1, 2, 5, 8))
+        if m == 1:
+            spec = rotation(ScalarConstant.rational(a))
+            members.append((spec, (a, 0, 1)))
+        elif c > 0:
+            spec = rotation_power(ScalarConstant.surd(a, 1, m), c)
+            members.append((spec, (a * c, c, m)))
+        else:
+            spec = rotation(ScalarConstant.surd(a, c, m))
+            members.append((spec, (a, c, m)))
+    fs = []
+    for _ in members:
+        kind = rng.randrange(3)
+        if kind == 0:
+            lo = round(rng.uniform(0, 0.7), 3)
+            fs.append(indicator(lo, round(lo + rng.uniform(0.05, 0.3), 3)))
+        else:
+            fs.append(frac_part() if kind == 1 else _random_piecewise(rng))
+    return members, fs, round(rng.random(), 6)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_predict_matches_mpmath_formula(seed):
+    members, fs, x0 = _random_case(random.Random(seed))
+    pred = predict(build_family([s for s, _ in members]), fs, x0)
+    assert pred.applicable
+    with mp.workdps(30):
+        want = mp_formula([t for _, t in members], fs, x0)
+    assert pred.value == pytest.approx(float(want), abs=1e-12)
+
+
+def test_predict_powers_of_one_rotation_need_one_quadrature(monkeypatch):
+    # the golden rotation (1 + sqrt 5)/2 to the powers 1 and 3: a = 1/2, 3/2
+    # and c = 1, 3 give q_m = 2, but the shift 1/2 = c_i/2 (mod 1) of both
+    # members is absorbed by t -> t + 1/2, so G[1] = G[0]
+    calls = []  # the number of shifts of each call
+    monkeypatch.setattr(oracle, "integrate", lambda *a, **k: calls.append(
+        len(a[2][0][0])) or integrate(*a, **k))
+    phi = ScalarConstant.surd("1/2", "1/2", 5)
+    fs = [frac_part(), indicator(0.1, 0.6)]
+    pred = predict(build_family([rotation_power(phi, 1), rotation_power(phi, 3)]),
+                   fs, 0.3)
+    assert pred.derivation[1] == Factor(5, (0, 1), 2)
+    assert calls == [1]
+    with mp.workdps(30):
+        want = mp_formula([(Fraction(1, 2), 1, 5), (Fraction(3, 2), 3, 5)], fs, 0.3)
+    assert pred.value == pytest.approx(float(want), abs=1e-12)

@@ -108,14 +108,6 @@ def test_scalar_float_value():
     assert ScalarConstant.rational(1, 3).float_value == pytest.approx(1 / 3, abs=1e-17)
 
 
-def test_scalar_subtraction():
-    assert SQRT2.sub(SQRT2).as_fraction() == 0
-    assert ScalarConstant.rational(1, 2).sub(ScalarConstant.rational(1, 3)).as_fraction() == Fraction(1, 6)
-    assert SQRT2.sub(SQRT3) is None
-    mixed = ScalarConstant.surd(1, 1, 2).sub(SQRT2)
-    assert mixed.as_fraction() == 1
-
-
 # ---------------------------------------------------------------------------
 # compensated summation
 
