@@ -8,9 +8,9 @@ a-denominators, Weyl equidistribution gives the limit
     (1/q) sum_{j<q} prod_{rational i} f_i({x0 + j a_i}) prod_m G_m[j mod q_m]
 
 with G_m[r] the integral over t of prod_{i over m} f_i(x0 + r a_i + c_i t).
-A prediction is not applicable when a literal constant is not proven
-rational by the bounded relation search, when q exceeds 2**20, or when the
-quadratures of a class exceed the panel budget.
+A literal constant is the rational of its shortest round-trip decimal, so
+the literal 0.1 is exactly 1/10.  A prediction is not applicable when q
+exceeds 2**20 or when the quadratures of a class exceed the panel budget.
 """
 
 from .dynsys import (TransformFamily, TransformSpec, build_family,
@@ -24,8 +24,7 @@ from .observables import (Observable, QuadratureSpec, constant, evaluate,
                           power_of_frac, product, trig_poly)
 from .oracle import (ComparisonReport, Prediction, compare, predict,
                      predict_intersection)
-from .unitmath import (CompensatedSum, IndependenceVerdict, ScalarConstant,
-                       UnitPoint, frac, orbit_point, rational_independence,
-                       sum_shifted_frac)
+from .unitmath import (CompensatedSum, ScalarConstant, UnitPoint, frac,
+                       orbit_point, sum_shifted_frac)
 
 __version__ = "0.1.0"

@@ -81,7 +81,12 @@ def dd_sqrt_int(m):
 
 
 def dd_from_fraction(fr):
-    return dd_div_int(dd_mul_int((1.0, 0.0), fr.numerator), fr.denominator)
+    """Correctly rounded: hi = fr rounded, lo = the remainder rounded (int
+    true division rounds correctly)."""
+    p, q = fr.numerator, fr.denominator
+    h = p / q
+    n, d = h.as_integer_ratio()
+    return h, (p * d - n * q) / (q * d)
 
 
 def dd_frac(x, _depth=0):

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .dynsys import TransformSpec, build_family
 from .engine import Schedule
 from .observables import Observable, integrate
 from .oracle import Prediction, compare, predict, predict_intersection
-from .unitmath import ScalarConstant, rational_independence, sum_shifted_frac, frac
+from .unitmath import ScalarConstant, sum_shifted_frac, frac
 
 JOB_KINDS = ("average", "correlation", "triple")
 
@@ -532,18 +533,19 @@ def determinism_and_parallel_consistency(sched, workers, tol_scale):
             _row("repeat-run determinism", 0.0 if repeats else 1.0, 0.0, 0.0)]
 
 
-def independence_verdicts(sched, workers, tol_scale):
+def weyl_form_resolution(sched, workers, tol_scale):
     cases = (
-        ("independence (1/2) -> (1,-2)", [ScalarConstant.rational(1, 2)],
-         lambda v: v.status == "dependent" and v.relation == (1, -2)),
-        ("independence (sqrt2,sqrt8) -> (0,2,-1)",
-         [_SQRT2, ScalarConstant.surd(0, 1, 8)],
-         lambda v: v.status == "dependent" and v.relation == (0, 2, -1)),
-        ("independence (sqrt2,sqrt3) unresolved at bound 10", [_SQRT2, _SQRT3],
-         lambda v: v.status == "independent-up-to-bound" and v.bound == 10),
+        ("weyl form literal 0.5 -> a = 1/2",
+         [dynsys.rotation(ScalarConstant.literal(0.5))],
+         (dynsys.WeylTerm(Fraction(1, 2), 0, 1),)),
+        ("weyl form (sqrt2, sqrt8) -> c = (1, 2) over sqrt2",
+         [_R2, dynsys.rotation(ScalarConstant.surd(0, 1, 8))],
+         (dynsys.WeylTerm(0, 1, 2), dynsys.WeylTerm(0, 2, 2))),
+        ("weyl form (sqrt2, sqrt3) -> distinct radicands", [_R2, _R3],
+         (dynsys.WeylTerm(0, 1, 2), dynsys.WeylTerm(0, 1, 3))),
     )
-    return [_row(name, 0.0 if ok(rational_independence(cs, 10, 1e-9)) else 1.0,
-                 0.0, 0.0) for name, cs, ok in cases]
+    return [_row(name, 0.0 if dynsys.weyl_form(specs) == want else 1.0,
+                 0.0, 0.0) for name, specs, want in cases]
 
 
 def quadrature(sched, workers, tol_scale):
@@ -555,7 +557,7 @@ CRITERIA = (distinct_rotations, repeated_rotation, periodic_factor,
             birkhoff_frac_part, shifted_frac_identity, correlation_diagnostic,
             triple_intersection, randomized_oracle_cross_validation,
             group_collapse_equivalence, determinism_and_parallel_consistency,
-            independence_verdicts, quadrature)
+            weyl_form_resolution, quadrature)
 
 
 def verify_builtin(n_max: int = 10 ** 6, workers: int = 1,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .observables import MAX_PRODUCT_FACTORS
-from .unitmath import ScalarConstant, rational_independence
+from .unitmath import ScalarConstant
 
 # members of a scenario's family; its periodic factor is one more member
 MAX_FAMILY_SIZE = MAX_PRODUCT_FACTORS - 1
@@ -68,33 +68,19 @@ class WeylTerm:
     m: int  # square-free radicand; 1 for a rational constant
 
 
-def weyl_form(specs, bound: int = 10) -> tuple[WeylTerm | None, ...]:
+def weyl_form(specs) -> tuple[WeylTerm, ...]:
     """Each member's constant as a + c * beta_m * sqrt(m): a rational, c an
     integer, and one beta_m > 0 per radicand m, the gcd of the sqrt(m)
-    coefficients of the members over m.
-
-    A literal counts as rational only when the bounded relation search
-    proves it so; any other literal gives None.
-    """
-    parts = []
-    for spec in specs:
-        k = effective_rotation(spec)
-        if k.kind == "surd":
-            parts.append((k.surd_a, k.surd_b, k.surd_m))
-        elif k.kind == "rational":
-            parts.append((k.rat, Fraction(0), 1))
-        else:
-            v = rational_independence([k], bound=bound, tol=1e-9)
-            parts.append((Fraction(-v.relation[0], v.relation[1]), Fraction(0), 1)
-                         if v.status == "dependent" else None)
+    coefficients of the members over m."""
+    ks = [effective_rotation(spec) for spec in specs]
     beta = {}
-    for _, b, m in filter(None, parts):
-        if b:
-            g = beta.get(m, Fraction(0))
-            beta[m] = Fraction(math.gcd(g.numerator, b.numerator),
-                               math.lcm(g.denominator, b.denominator))
-    return tuple(p and WeylTerm(p[0], int(p[1] / beta[p[2]]) if p[1] else 0, p[2])
-                 for p in parts)
+    for k in ks:
+        if k.b:
+            g = beta.get(k.m, Fraction(0))
+            beta[k.m] = Fraction(math.gcd(g.numerator, k.b.numerator),
+                                 math.lcm(g.denominator, k.b.denominator))
+    return tuple(WeylTerm(k.a, int(k.b / beta[k.m]) if k.b else 0, k.m)
+                 for k in ks)
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,13 @@ def _wrap(o: np.ndarray, t: np.ndarray) -> np.ndarray:
     return o
 
 
-def rational_points(x0: UnitPoint, const: ScalarConstant, n0: int, out):
-    """{x0 + n*p/q} from the exact residue n*p mod q, written to out.  The
-    points repeat with period q, so one period is computed and copied."""
-    fr = const.as_fraction() % 1
+def rational_points(x0: UnitPoint, fr, n0: int, out):
+    """{x0 + n*fr} for a Fraction fr, from the exact residue n*p mod q of
+    fr mod 1 = p/q, written to out; p*q must be below 2**62, so the residues
+    stay exact in int64.  The points repeat with period q, so one period is
+    computed and copied."""
+    fr %= 1
     p, q = fr.numerator, fr.denominator
-    if p * q >= 1 << 62:
-        raise ValueError("rational rotation constant too large to reduce")
     m = min(q, len(out))
     n = np.arange(n0, n0 + m, dtype=np.int64)
     h, e = _dd.v_two_sum(((n % q) * p % q).astype(np.float64) / q, x0.value)
@@ -133,20 +133,24 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
                  ws) -> np.ndarray:
     """Points {x0 + n*alpha} for n0 <= n < n1, within about half an ulp.
 
-    Each run of L <= _STEP_MAX points starts from the base {x0 + m0*alpha}
-    (``orbit_point``: Python-int step count, double-double alpha) and adds
-    j*{alpha} for the local step j < L.  Base and step are split on the
-    grid 2**-k, k = 52 - bit_length(L - 1): the grid parts sum exactly in
-    float64, as base + j*step stays below 2**(53-k), and so does their
-    fractional part.  The remainders, both <= 0, give a correction below
-    2**(52-2k) that is added last: one rounding, never up to 1.0.
+    A rational alpha = p/q (mod 1) with p*q < 2**62 goes to
+    ``rational_points``.  Any other alpha runs in L <= _STEP_MAX points from
+    the base {x0 + m0*alpha} (``orbit_point``: Python-int step count, exact
+    rational part), adding j*{alpha} for the local step j < L.  Base and
+    step are split on the grid 2**-k, k = 52 - bit_length(L - 1): the grid
+    parts sum exactly in float64, as base + j*step stays below 2**(53-k),
+    and so does their fractional part.  The remainders, both <= 0, give a
+    correction below 2**(52-2k) that is added last: one rounding, never up
+    to 1.0.
 
     The points go to ws[0], and ws[1] is scratch, for a (2, n1 - n0)
     buffer ws.
     """
     out, t = ws
-    if const.is_rational():
-        return rational_points(x0, const, n0, out)
+    if not const.b:
+        fr = const.a % 1
+        if fr.numerator * fr.denominator < 1 << 62:
+            return rational_points(x0, fr, n0, out)
     step = _dd.dd_frac(const.dd())
     for m0 in range(n0, n1, _STEP_MAX):
         m1 = min(n1, m0 + _STEP_MAX)

@@ -11,9 +11,9 @@ in Z/q x T^k (Weyl 1916), so the diagonal average from x0 tends to
 
 with q_m the lcm of the a-denominators over m, one quadrature per residue
 of a period p of G_m that divides q_m (``_shift_period``).  A literal
-constant that the relation search does not prove rational makes the
-prediction not applicable, and so do a period q above MAX_PERIOD and the
-quadratures of a class exceeding the panel budget of ``integrate``.
+constant is the rational of its shortest round-trip decimal, so 0.1 has
+q = 10.  The prediction is not applicable when q exceeds MAX_PERIOD or the
+quadratures of a class exceed the panel budget of ``integrate``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .dynsys import TransformFamily, weyl_form
 from .engine import AverageTrace, rational_points
 from .observables import (QuadratureBudgetError, QuadratureSpec,
                           evaluate_array, integrate)
-from .unitmath import ScalarConstant, UnitPoint
+from .unitmath import UnitPoint
 
 MAX_PERIOD = 1 << 20
 
@@ -51,15 +51,9 @@ class Prediction:
     caveats: tuple[str, ...]
 
 
-def _resolve(members, bound):
-    """(weyl_form terms, derivation, caveats); the caveats name every
-    literal the relation search leaves unresolved."""
-    terms = weyl_form(members, bound)
-    caveats = tuple(f"member {i}: literal constant not proven rational by the "
-                    f"relation search up to bound {bound}"
-                    for i, t in enumerate(terms) if t is None)
-    if caveats:
-        return terms, (), caveats
+def _resolve(members):
+    """(weyl_form terms, derivation)."""
+    terms = weyl_form(members)
     classes = {1: []}
     for i, t in enumerate(terms):
         classes.setdefault(t.m, []).append(i)
@@ -68,7 +62,7 @@ def _resolve(members, bound):
         Factor(m, tuple(idx), q if m == 1 else
                math.lcm(*(terms[i].a.denominator for i in idx)))
         for m, idx in classes.items())
-    return terms, derivation, ()
+    return terms, derivation
 
 
 def _bezout(a: int, b: int):
@@ -93,15 +87,13 @@ def _shift_period(ts) -> int:
     return math.lcm(*((t.c * a - t.a).denominator for t in ts))
 
 
-def predict(fam: TransformFamily, fs, x0=0.0, bound: int = 10,
+def predict(fam: TransformFamily, fs, x0=0.0,
             quad: QuadratureSpec | None = None) -> Prediction:
     """Predicted limit of the diagonal average from x0 for this family."""
     fs = list(fs)
     if len(fs) != len(fam.members):
         raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    terms, derivation, caveats = _resolve(fam.members, bound)
-    if caveats:
-        return Prediction(None, derivation, False, caveats)
+    terms, derivation = _resolve(fam.members)
     q = derivation[0].period
     if q > MAX_PERIOD:
         return Prediction(None, derivation, False,
@@ -110,7 +102,7 @@ def predict(fam: TransformFamily, fs, x0=0.0, bound: int = 10,
     x0 = UnitPoint.from_real(x0)
 
     def shifts(a, n):  # {x0 + r*a} for r < n, as the engine computes them
-        return rational_points(x0, ScalarConstant.rational(a), 0, np.empty(n))
+        return rational_points(x0, a, 0, np.empty(n))
 
     vals = np.ones(q)
     for i in derivation[0].indices:
@@ -130,17 +122,16 @@ def predict(fam: TransformFamily, fs, x0=0.0, bound: int = 10,
     return Prediction(_dd.v_sum(vals) / q, derivation, True, ())
 
 
-def predict_intersection(members, indicators, bound: int = 10) -> Prediction:
+def predict_intersection(members, indicators) -> Prediction:
     """Limit of (1/N) sum_n len(T1^-n A1 ∩ ... ∩ C): the product of the
     arc lengths when every member is a surd rotation and no two share a
     radicand, so that the orbit is equidistributed on the torus; otherwise
     not applicable."""
-    terms, derivation, caveats = _resolve(members, bound)
-    if not caveats and (derivation[0].indices or
-                        any(len(f.indices) > 1 for f in derivation[1:])):
-        caveats = ("members are not surd rotations over distinct radicands",)
-    if caveats:
-        return Prediction(None, derivation, False, caveats)
+    _, derivation = _resolve(members)
+    if (derivation[0].indices or
+            any(len(f.indices) > 1 for f in derivation[1:])):
+        return Prediction(None, derivation, False,
+                          ("members are not surd rotations over distinct radicands",))
     return Prediction(math.prod(f.exact_integral for f in indicators),
                       derivation, True, ())
 

@@ -1,8 +1,9 @@
 """Arithmetic on the unit circle [0, 1).
 
-Fractional parts, drift-controlled orbit points {x + n*alpha}, Neumaier
-compensated summation, the shifted-fractional-part identity, and a bounded
-exhaustive search for integer relations among rotation constants.
+Fractional parts, exact rotation constants a + b*sqrt(m), drift-controlled
+orbit points {x + n*alpha}, Neumaier compensated summation and the
+shifted-fractional-part identity.  A literal constant is the rational of
+its shortest round-trip decimal, so the literal 0.1 is exactly 1/10.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -42,27 +42,38 @@ def _sqrt_dd(m: int):
     return _dd.dd_sqrt_int(m)
 
 
+# fractional bits of the integer square root behind a large surd part
+_ROOT_BITS = 128
+
+
+def _surd_dd(b: Fraction, m: int):
+    """b*sqrt(m) in double-double.  From 2**53 up a double-double keeps too
+    few of its fractional bits, and with parts beyond float range it
+    overflows, so there it is taken modulo 1, from the integer square root
+    floor(2**_ROOT_BITS * |b|*sqrt(m))."""
+    p, q = b.numerator, b.denominator
+    if p * p * m < q * q << 106 and q < 1 << 960:
+        return _dd.dd_div_int(_dd.dd_mul_int(_sqrt_dd(m), p), q)
+    r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
+    return _dd.dd_from_fraction(Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1)
+
+
 @dataclass(frozen=True)
 class ScalarConstant:
-    """A rotation constant.
-
-    Three kinds: an exact rational, a quadratic surd a + b*sqrt(m) with
-    rational a, b and square-free m, or a plain float literal.  Symbolic
-    kinds survive negation and integer scaling exactly.
+    """A rotation constant a + b*sqrt(m), exactly: rational a and b, and a
+    square-free m, with b = 0 and m = 1 for a rational.  Negation and
+    integer scaling stay exact.
     """
 
-    kind: str  # "rational" | "surd" | "literal"
-    rat: Fraction | None = None
-    surd_a: Fraction | None = None
-    surd_b: Fraction | None = None
-    surd_m: int | None = None
-    lit: float | None = None
+    a: Fraction
+    b: Fraction = Fraction(0)
+    m: int = 1
 
     @staticmethod
     def rational(p, q=1) -> "ScalarConstant":
         if q < 1:
             raise ValueError("rational denominator must be a positive integer")
-        return ScalarConstant("rational", rat=Fraction(p, q))
+        return ScalarConstant(Fraction(p, q))
 
     @staticmethod
     def surd(a, b, m: int) -> "ScalarConstant":
@@ -72,60 +83,31 @@ class ScalarConstant:
             raise ValueError("surd radicand must be a positive integer")
         s, r = _squarefree(m)
         b *= s
-        if b == 0:
-            return ScalarConstant.rational(a)
-        if r == 1:
-            return ScalarConstant.rational(a + b)
-        return ScalarConstant("surd", surd_a=a, surd_b=b, surd_m=r)
+        if b == 0 or r == 1:
+            return ScalarConstant(a + b)
+        return ScalarConstant(a, b, r)
 
     @staticmethod
     def literal(v: float) -> "ScalarConstant":
+        """The rational of v's shortest round-trip decimal: 0.1 is 1/10."""
         v = float(v)
         if not math.isfinite(v):
             raise ValueError("literal constant must be finite")
-        return ScalarConstant("literal", lit=v)
-
-    # -- evaluation ---------------------------------------------------------
+        return ScalarConstant(Fraction(repr(v)))
 
     def dd(self):
-        """Double-double value (hi, lo)."""
-        if self.kind == "rational":
-            return _dd.dd_from_fraction(self.rat)
-        if self.kind == "surd":
-            t = _dd.dd_mul_int(_sqrt_dd(self.surd_m), self.surd_b.numerator)
-            t = _dd.dd_div_int(t, self.surd_b.denominator)
-            return _dd.dd_add(_dd.dd_from_fraction(self.surd_a), t)
-        return (self.lit, 0.0)
-
-    @property
-    def float_value(self) -> float:
-        h, l = self.dd()
-        return h + l
-
-    # -- exact arithmetic where kinds allow ---------------------------------
-
-    def is_rational(self) -> bool:
-        return self.kind == "rational"
-
-    def as_fraction(self) -> Fraction:
-        if self.kind != "rational":
-            raise ValueError("not a rational constant")
-        return self.rat
+        """Double-double (hi, lo) of the constant; congruent to it modulo 1
+        where a or b*sqrt(m) reaches 2**53."""
+        a = self.a
+        if abs(a.numerator) >= a.denominator << 53:
+            a %= 1
+        return _dd.dd_add(_dd.dd_from_fraction(a), _surd_dd(self.b, self.m))
 
     def neg(self) -> "ScalarConstant":
-        if self.kind == "rational":
-            return ScalarConstant.rational(-self.rat)
-        if self.kind == "surd":
-            return ScalarConstant("surd", surd_a=-self.surd_a,
-                                  surd_b=-self.surd_b, surd_m=self.surd_m)
-        return ScalarConstant.literal(-self.lit)
+        return ScalarConstant(-self.a, -self.b, self.m)
 
     def mul_int(self, n: int) -> "ScalarConstant":
-        if self.kind == "rational":
-            return ScalarConstant.rational(self.rat * n)
-        if self.kind == "surd":
-            return ScalarConstant.surd(self.surd_a * n, self.surd_b * n, self.surd_m)
-        return ScalarConstant.literal(self.lit * n)
+        return ScalarConstant(self.a * n, self.b * n, self.m if n else 1)
 
 
 @dataclass(frozen=True)
@@ -156,25 +138,15 @@ class UnitPoint:
 def orbit_point(x0, alpha: ScalarConstant, n: int) -> UnitPoint:
     """{x0 + n*alpha} via product reduction.
 
-    Rational constants reduce with exact integer arithmetic; surds reduce
-    their rational part exactly and multiply the sqrt part in double-double,
-    so the error stays at a few ulp independent of n.
+    The rational part n*a reduces modulo 1 exactly and n*b*sqrt(m) is
+    evaluated in double-double (``_surd_dd``), so the error stays at a few
+    ulp for n below 2**53.
     """
     if n < 0:
         raise ValueError("orbit step count must be nonnegative")
     x0 = UnitPoint.from_real(x0)
-    if alpha.kind == "rational":
-        fr = alpha.rat
-        shift = _dd.dd_from_fraction(
-            Fraction((n * fr.numerator) % fr.denominator, fr.denominator))
-    elif alpha.kind == "surd":
-        ra = (n * alpha.surd_a) % 1
-        rb = n * alpha.surd_b
-        t = _dd.dd_mul_int(_sqrt_dd(alpha.surd_m), rb.numerator)
-        t = _dd.dd_div_int(t, rb.denominator)
-        shift = _dd.dd_add(_dd.dd_from_fraction(ra), t)
-    else:
-        shift = _dd.dd_mul_int((alpha.lit, 0.0), n)
+    shift = _dd.dd_add(_dd.dd_from_fraction(n * alpha.a % 1),
+                       _surd_dd(n * alpha.b, alpha.m))
     h, l = _dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift))
     return UnitPoint(h, l)
 
@@ -222,59 +194,3 @@ def sum_shifted_frac(x, k: int):
     t = x[..., None] + np.arange(k) / k
     t -= np.floor(t)
     return _dd.v_sum(t) if t.ndim == 1 else _dd.v_sum_rows(t)
-
-
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    status: str  # "dependent" | "independent-up-to-bound" | "exact-independent"
-    relation: tuple[int, ...] | None = None
-    bound: int | None = None
-    reason: str | None = None
-
-
-def rational_independence(alphas, bound: int = 10, tol: float = 1e-9) -> IndependenceVerdict:
-    """Search for integer relations k0 + k1*a1 + ... + kd*ad = 0.
-
-    Exhaustive over |k_i| <= bound; a found relation is reported with
-    minimal max-norm, ties broken lexicographically after normalizing the
-    sign of the first nonzero entry.
-    """
-    d = len(alphas)
-    if d == 0:
-        raise ValueError("empty constant list")
-    if d > 4:
-        raise ValueError("exhaustive search supports at most 4 constants")
-    if bound < 1 or bound > 10_000 // d:
-        raise ValueError(f"bound must be in [1, {10_000 // d}]")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if d == 1 and alphas[0].kind == "surd":
-        return IndependenceVerdict(
-            "exact-independent",
-            reason="nonzero quadratic-surd part is irrational")
-    dds = [a.dd() for a in alphas]
-    best = None
-    for ks in _iproduct(range(-bound, bound + 1), repeat=d):
-        if not any(ks):
-            continue
-        s = (0.0, 0.0)
-        for k, c in zip(ks, dds):
-            if k:
-                s = _dd.dd_add(s, _dd.dd_mul_int(c, k))
-        k0 = -round(s[0] + s[1])
-        if abs(k0) > bound:
-            continue
-        if abs((s[0] + k0) + s[1]) > tol:
-            continue
-        vec = (k0, *ks)
-        for v in vec:
-            if v:
-                if v < 0:
-                    vec = tuple(-u for u in vec)
-                break
-        key = (max(abs(v) for v in vec), vec)
-        if best is None or key < best:
-            best = key
-    if best is not None:
-        return IndependenceVerdict("dependent", relation=best[1])
-    return IndependenceVerdict("independent-up-to-bound", bound=bound)

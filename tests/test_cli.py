@@ -253,7 +253,7 @@ def _strict_json(text):
 
 
 def test_run_scenario_inapplicable_reports_null(tmp_path):
-    # the relation search cannot prove the literal rational
+    # the literal is 41421356237309503/10**17, a period above 2**20
     sc = parse_scenario(INAPPLICABLE)
     assert run_scenario(sc, tmp_path) == 0
     text = (tmp_path / "inapplicable.report.json").read_text()
@@ -262,6 +262,24 @@ def test_run_scenario_inapplicable_reports_null(tmp_path):
     assert report["prediction"]["applicable"] is False
     assert report["prediction"]["value"] is None
     assert '"value": null' in text
+
+
+@pytest.mark.parametrize("alpha", [
+    # p*q >= 2**62, beyond exact int64 residues
+    {"rational": {"p": 3, "q": 2 ** 61 + 2}},
+    {"literal": 0.6180339887498949},
+    {"rational": {"p": 3, "q": 10 ** 400}},
+])
+def test_main_run_constant_with_a_large_period(tmp_path, alpha):
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps({
+        "name": "big", "family": [{"kind": "rotation", "alpha": alpha}],
+        "observables": [{"kind": "frac_part"}],
+        "schedule": {"checkpoints": [10, 1000]}, "tolerance": 0.01}))
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "big.report.json").read_text())
+    assert report["prediction"]["applicable"] is False
+    assert 0.0 <= report["measured"] < 1.0
 
 
 def test_main_predict_inapplicable_prints_null(tmp_path, capsys):
@@ -399,7 +417,9 @@ def test_verify_builtin_small_n():
     assert by_name["group-collapse equivalence (max dev)"]["passed"]
     assert by_name["parallel consistency (max dev)"]["passed"]
     assert by_name["repeat-run determinism"]["passed"]
-    assert by_name["independence (1/2) -> (1,-2)"]["passed"]
+    assert by_name["weyl form literal 0.5 -> a = 1/2"]["passed"]
+    assert by_name["weyl form (sqrt2, sqrt8) -> c = (1, 2) over sqrt2"]["passed"]
+    assert by_name["weyl form (sqrt2, sqrt3) -> distinct radicands"]["passed"]
     assert by_name["quadrature int {x}"]["passed"]
 
 

@@ -43,8 +43,8 @@ def classes(specs):
 def test_effective_rotation():
     assert effective_rotation(rotation(SQRT2)) == SQRT2
     assert effective_rotation(rotation_power(SQRT2, 2)) == ScalarConstant.surd(0, 2, 2)
-    assert effective_rotation(finite_rotation(5)).as_fraction() == Fraction(1, 5)
-    assert effective_rotation(identity()).as_fraction() == 0
+    assert effective_rotation(finite_rotation(5)) == ScalarConstant.rational(1, 5)
+    assert effective_rotation(identity()) == ScalarConstant.rational(0)
 
 
 def test_constructor_domain_errors():
@@ -166,7 +166,9 @@ def test_weyl_form_literal_rational():
 
 
 def test_weyl_form_literal_unresolved():
+    # no literal is left unresolved: the float nearest sqrt(2) - 1 is the
+    # rational of its shortest decimal, 0.41421356237309515, not a surd
     lit = rotation(ScalarConstant.literal(math.sqrt(2) - 1))
-    assert weyl_form([rotation(SQRT2), lit]) == (WeylTerm(0, 1, 2), None)
-    # a larger bound finds no relation either
-    assert weyl_form([lit], bound=50) == (None,)
+    assert weyl_form([rotation(SQRT2), lit]) == (
+        WeylTerm(0, 1, 2), WeylTerm(Fraction(41421356237309515, 10 ** 17), 0, 1))
+    assert finite_order(lit) == 2 * 10 ** 16

@@ -297,11 +297,7 @@ def mp_value(c):
     """The constant in mpmath, from its exact rational and radicand parts."""
     def q(fr):
         return mpmath.mpf(fr.numerator) / fr.denominator
-    if c.kind == "rational":
-        return q(c.rat)
-    if c.kind == "surd":
-        return q(c.surd_a) + q(c.surd_b) * mpmath.sqrt(c.surd_m)
-    return mpmath.mpf(c.lit)
+    return q(c.a) + q(c.b) * mpmath.sqrt(c.m)
 
 
 def mp_orbit_errors(x0, c, n0, points):
@@ -311,7 +307,9 @@ def mp_orbit_errors(x0, c, n0, points):
     exact integer arithmetic; the reference is split into a multiple of
     2**-53 and a remainder before it meets the float points."""
     one = 1 << FIXED_BITS
-    with mpmath.workprec(FIXED_BITS + 120):
+    # integer-part bits of n*alpha, which the fraction must not lose
+    size = max(abs(c.a), abs(c.b)).numerator.bit_length() + 2 * c.m.bit_length()
+    with mpmath.workprec(FIXED_BITS + 120 + size):
         alpha = mp_value(c)
 
         def fixed(v):
@@ -334,7 +332,15 @@ def mp_orbit_errors(x0, c, n0, points):
                                ScalarConstant.literal(0.123456789),
                                # in (-1/2, 0): alpha + 1 rounds
                                ScalarConstant.surd("2/3", "-1/3", 7),
-                               ScalarConstant.literal(-0.3)])
+                               ScalarConstant.literal(-0.3),
+                               # p*q >= 2**62: no exact int64 residues
+                               ScalarConstant.rational(3, 2 ** 61 + 2),
+                               ScalarConstant.literal(0.6180339887498949),
+                               ScalarConstant.literal(0.1),
+                               # b*sqrt(m) beyond float range or below it
+                               ScalarConstant.surd("1/3", int("1" * 400), 2),
+                               ScalarConstant.surd(0, "1/" + "1" * 400, 2),
+                               ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3)])
 def test_orbit_block_matches_mpmath(c):
     for x0, n0, length in iproduct(ORBIT_X0, ORBIT_N0, ORBIT_LENGTHS):
         pts = orbit_block(UnitPoint.from_real(x0), c, n0, n0 + length)
@@ -342,6 +348,14 @@ def test_orbit_block_matches_mpmath(c):
         assert np.all((pts >= 0.0) & (pts < 1.0))
         bound = 1.0 if n0 + length <= 2 ** 40 else 4.0
         assert max(mp_orbit_errors(x0, c, n0, pts)) <= bound, (x0, n0, length)
+
+
+def test_literal_tenth_orbit_is_correctly_rounded():
+    # the literal 0.1 is 1/10, so {n * 0.1} is the float nearest (n mod 10)/10
+    # for every n, where the float 0.1 drifts by 0.05 at n = 2**53
+    for n0 in ORBIT_N0 + (MAX_N - 17,):
+        pts = orbit_block(UnitPoint(0.0), ScalarConstant.literal(0.1), n0, n0 + 17)
+        assert pts.tolist() == [(n % 10) / 10 for n in range(n0, n0 + 17)]
 
 
 @pytest.mark.parametrize("c", [SQRT2, ScalarConstant.rational(1, 3)])
@@ -365,7 +379,7 @@ def former_v_frac(h, l):
 
 def rational_index_formula(x0, const, n):
     """The former kernel's rational points: {x0 + ((n mod q)*p mod q) / q}."""
-    fr = const.as_fraction() % 1
+    fr = const.a % 1
     p, q = fr.numerator, fr.denominator
     shift = ((n % q) * p % q).astype(np.float64) / q
     h = shift + x0.value

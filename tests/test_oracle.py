@@ -80,22 +80,52 @@ def test_predict_integer_shift_acts_as_the_same_rotation():
 
 
 def test_predict_unresolved_literal_is_inapplicable():
+    # the literal is 41421356237309515/10**17 = 8284271247461903/(2*10**16),
+    # a period above MAX_PERIOD
     fam = build_family([rotation(SQRT2),
                         rotation(ScalarConstant.literal(math.sqrt(2) - 1))])
     pred = predict(fam, [frac_part(), frac_part()])
     assert not pred.applicable and pred.value is None
-    assert any("member 1" in c for c in pred.caveats)
+    assert pred.caveats == (f"period {2 * 10 ** 16} exceeds {oracle.MAX_PERIOD}",)
     with pytest.raises(ValueError):
         compare(pred, None, 1e-3)
 
 
 def test_predict_literal_proven_rational():
-    # 0.25 = 1/4: the orbit {0.1 + j/4} has mean 0.475
+    # the literal 0.25 is 1/4: the orbit {0.1 + j/4} has mean 0.475
     fam = build_family([rotation(SQRT2), rotation(ScalarConstant.literal(0.25))])
     pred = predict(fam, [frac_part(), frac_part()], 0.1)
     assert pred.applicable
     assert pred.value == pytest.approx(0.5 * 0.475, abs=1e-15)
     assert pred.derivation[0] == Factor(1, (1,), 4)
+
+
+@pytest.mark.parametrize("v, value", [
+    # the engine rotates by 1e-9 exactly: {x} from 0 averages 0.0005 at
+    # N = 10**6, not 0, and only tends to 1/2
+    (1e-9, None),
+    # 0.33333333363333334 is no third: its period is 5*10**16
+    (1 / 3 + 3e-10, None),
+    # the identity map: {x} stays at x0 = 0
+    (12.0, 0.0),
+])
+def test_predict_literal_means_its_decimal(v, value):
+    pred = predict(build_family([rotation(ScalarConstant.literal(v))]),
+                   [frac_part()], 0.0)
+    assert pred.applicable == (value is not None)
+    assert pred.value == value
+
+
+@pytest.mark.parametrize("vs", [(0.5,), (0.25,), (0.1,), (12.0,), (0.1, 0.25)])
+def test_predict_literal_matches_engine_over_whole_periods(vs):
+    # N = 10**6 is a multiple of every period, so the finite-N average
+    # is the limit itself
+    fam = build_family([rotation(ScalarConstant.literal(v)) for v in vs])
+    fs = [frac_part(), indicator(0.2, 0.7)][:len(vs)]
+    tr = multiple_average(fam, fs, 0.3, Schedule((10 ** 6,)))
+    pred = predict(fam, fs, 0.3)
+    assert pred.applicable
+    assert tr.final == pytest.approx(pred.value, abs=1e-12)
 
 
 def test_predict_period_cap_is_inapplicable():
@@ -174,9 +204,9 @@ def test_predict_nine_members_over_one_radicand():
 
 
 def test_predict_mixed_surd_bases_applicable():
-    # sqrt(2) - sqrt(3) is irrational; recognized symbolically, no search
+    # sqrt(2) - sqrt(3) is irrational; recognized symbolically
     fam = build_family([rotation(SQRT2), rotation(SQRT3)])
-    assert predict(fam, [frac_part(), frac_part()], bound=1).applicable
+    assert predict(fam, [frac_part(), frac_part()]).applicable
 
 
 def test_predict_surd_vs_rational_applicable():

@@ -11,11 +11,15 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
-from torusavg.engine import MIN_RATIO
+from torusavg.dynsys import build_family, effective_rotation
+from torusavg.engine import MAX_N, MIN_RATIO, _orbit_block
+from torusavg.oracle import predict
+from torusavg.unitmath import UnitPoint
 
 SCENARIOS = resources.files("torusavg") / "scenarios"
 SCHEMA = json.loads((SCENARIOS / "scenario.schema.json").read_text())
@@ -199,3 +203,44 @@ def test_schema_and_parser_agree(doc):
         assert not parsed
     else:
         assert parsed == Validator(SCHEMA).is_valid(doc)
+
+
+# ---------------------------------------------------------------------------
+# constants across the schema's range
+
+BIG = 10 ** 400
+FRACTION_TEXT = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds("{}/{}".format, st.integers(-BIG, BIG), st.integers(0, BIG)))
+CONSTANT = st.one_of(
+    st.builds(lambda p, q: {"rational": {"p": p, "q": q}},
+              st.integers(-BIG, BIG), st.integers(-1, BIG)),
+    st.builds(lambda v: {"literal": v}, st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, -0.0, 1e300, 12.0, 0.1]))),
+    st.builds(lambda a, b, m: {"surd": {"a": a, "b": b, "m": m}},
+              FRACTION_TEXT, FRACTION_TEXT, st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONSTANT)
+def test_parsed_constant_runs_in_engine_and_oracle(alpha):
+    """A constant the parser accepts never crashes predict or the orbit
+    kernel, from the start of an orbit or at its length limit."""
+    doc = {"name": "c", "family": [
+        {"kind": "rotation", "alpha": alpha},
+        {"kind": "rotation_power", "alpha": alpha, "p": 2}],
+        "observables": [{"kind": "frac_part"},
+                        {"kind": "indicator", "a": 0.2, "b": 0.7}],
+        "x0": 0.3, "schedule": {"n_max": 17}, "tolerance": 0.1}
+    try:
+        sc = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        return
+    pred = predict(build_family(sc.family), sc.observables, sc.x0)
+    assert pred.applicable == (pred.value is not None)
+    x0, ws = UnitPoint.from_real(sc.x0), np.empty((2, 17))
+    for spec in sc.family:
+        for n0 in (0, MAX_N - 17):
+            pts = _orbit_block(x0, effective_rotation(spec), n0, n0 + 17, ws)
+            assert np.all((pts >= 0.0) & (pts < 1.0))

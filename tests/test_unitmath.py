@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
-                               frac, orbit_point, rational_independence,
-                               sum_shifted_frac)
+                               frac, orbit_point, sum_shifted_frac)
 
 mp.mp.dps = 40
 
@@ -96,16 +95,38 @@ def test_orbit_additivity(m, n):
 def test_surd_normalization():
     # square factors move into the coefficient: sqrt(8) = 2*sqrt(2)
     s8 = ScalarConstant.surd(0, 1, 8)
-    assert (s8.surd_b, s8.surd_m) == (Fraction(2), 2)
+    assert (s8.b, s8.m) == (Fraction(2), 2)
     assert s8 == ScalarConstant.surd(0, 2, 2)
     # degenerate radicand collapses to a rational
-    assert ScalarConstant.surd(1, 2, 4).kind == "rational"
-    assert ScalarConstant.surd(1, 2, 4).as_fraction() == 5
+    assert ScalarConstant.surd(1, 2, 4) == ScalarConstant(Fraction(5), 0, 1)
+    assert ScalarConstant.surd(1, 0, 3) == ScalarConstant.rational(1)
+
+
+def test_literal_is_its_decimal_rational():
+    # the rational of the shortest round-trip decimal, not of the binary float
+    assert ScalarConstant.literal(0.1) == ScalarConstant.rational(1, 10)
+    assert ScalarConstant.literal(0.5) == ScalarConstant.rational(1, 2)
+    assert ScalarConstant.literal(12.0) == ScalarConstant.rational(12)
+    assert ScalarConstant.literal(-0.0) == ScalarConstant.rational(0)
+    assert ScalarConstant.literal(1e-9) == ScalarConstant.rational(1, 10 ** 9)
+    assert ScalarConstant.literal(5e-324).a == Fraction(5, 10 ** 324)
+    assert ScalarConstant.literal(1e300).a == 10 ** 300
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ScalarConstant.literal(bad)
 
 
 def test_scalar_float_value():
-    assert SQRT2.float_value == pytest.approx(math.sqrt(2), abs=1e-16)
-    assert ScalarConstant.rational(1, 3).float_value == pytest.approx(1 / 3, abs=1e-17)
+    assert sum(SQRT2.dd()) == pytest.approx(math.sqrt(2), abs=1e-16)
+    assert sum(ScalarConstant.rational(1, 3).dd()) == pytest.approx(1 / 3, abs=1e-17)
+    # parts of 2**53 and beyond are reduced modulo 1 rather than overflow
+    assert (ScalarConstant.rational(10 ** 400 + 1, 3).dd()
+            == ScalarConstant.rational(2, 3).dd())
+    big = ScalarConstant.surd(0, 10 ** 400, 2)
+    with mp.workdps(500):
+        want = float(mp.frac(10 ** 400 * mp.sqrt(2)))
+    assert frac(sum(big.dd())) == pytest.approx(want, abs=1e-16)
+    assert ScalarConstant.surd(0, Fraction(1, 10 ** 400), 2).dd() == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,58 +209,6 @@ def test_sum_shifted_frac_domain():
         sum_shifted_frac(1.5, 3)
     with pytest.raises(ValueError):
         sum_shifted_frac(np.array([0.5, -0.25]), 3)
-
-
-# ---------------------------------------------------------------------------
-# rational independence
-
-
-def test_independence_examples():
-    v = rational_independence([ScalarConstant.rational(1, 2)], bound=2, tol=1e-9)
-    assert v.status == "dependent" and v.relation == (1, -2)
-
-    v = rational_independence([SQRT2, ScalarConstant.surd(0, 1, 8)], bound=3, tol=1e-9)
-    assert v.status == "dependent" and v.relation == (0, 2, -1)
-
-    v = rational_independence([SQRT2, SQRT3], bound=10, tol=1e-9)
-    assert v.status == "independent-up-to-bound" and v.bound == 10
-
-
-def test_independence_exact_for_single_surd():
-    v = rational_independence([SQRT2], bound=10, tol=1e-9)
-    assert v.status == "exact-independent"
-
-
-def test_independence_relation_sound_in_high_precision():
-    cases = [
-        [ScalarConstant.rational(1, 2)],
-        [ScalarConstant.rational(2, 7), ScalarConstant.rational(3, 7)],
-        [SQRT2, ScalarConstant.surd(0, 1, 8)],
-        [ScalarConstant.surd(1, 2, 3), SQRT3],
-    ]
-    values = {2: mp.sqrt(2), 3: mp.sqrt(3), 8: mp.sqrt(8)}
-    for alphas in cases:
-        v = rational_independence(alphas, bound=10, tol=1e-9)
-        assert v.status == "dependent"
-        k0, *ks = v.relation
-        total = mp.mpf(k0)
-        for k, a in zip(ks, alphas):
-            if a.kind == "rational":
-                total += k * mp.mpf(a.rat.numerator) / a.rat.denominator
-            else:
-                total += k * (mp.mpf(a.surd_a.numerator) / a.surd_a.denominator
-                              + mp.mpf(a.surd_b.numerator) / a.surd_b.denominator
-                              * mp.sqrt(a.surd_m))
-        assert abs(total) <= 1e-9
-
-
-def test_independence_domain_errors():
-    with pytest.raises(ValueError):
-        rational_independence([], bound=10, tol=1e-9)
-    with pytest.raises(ValueError):
-        rational_independence([SQRT2], bound=0, tol=1e-9)
-    with pytest.raises(ValueError):
-        rational_independence([SQRT2], bound=10, tol=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,7 @@ def _fourier(f):
 def _parts(spec):
     """(rational part, {radicand: coefficient}) of a member's constant."""
     k = effective_rotation(spec)
-    if k.kind == "rational":
-        return k.rat, {}
-    return k.surd_a, {k.surd_m: k.surd_b}
+    return k.a, ({k.m: k.b} if k.b else {})
 
 
 def _series(specs, fs, x0):
