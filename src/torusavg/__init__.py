@@ -17,7 +17,7 @@ from .dynsys import (TransformFamily, TransformSpec, build_family,
                      finite_rotation, identity, rotation, rotation_power,
                      weyl_form)
 from .engine import (AverageTrace, Schedule, birkhoff_average,
-                     correlation_average, multiple_average, run_chunked,
+                     correlation_average, multiple_average, run_job,
                      triple_intersection_average)
 from .observables import (Observable, QuadratureSpec, constant, evaluate,
                           frac_part, indicator, integrate, piecewise_linear,

@@ -48,7 +48,6 @@ class Scenario:
     schedule: Schedule
     indicators: tuple[Observable, ...]
     tolerance: float
-    workers: int
     expected_override: float | None
 
 
@@ -260,6 +259,7 @@ def parse_scenario(text) -> Scenario:
     tol = get("tolerance", "number")
     if tol is not None and not tol > 0:
         errs.append(f"tolerance: must be a positive real, got {tol!r}")
+    # accepted for older scenario files; blocks run in one thread
     workers = get("workers", "integer", 1)
     if workers is not None and workers < 1:
         errs.append(f"workers: must be a positive integer, got {workers!r}")
@@ -293,7 +293,7 @@ def parse_scenario(text) -> Scenario:
     else:
         obs, indicators = (), tuple(indicators[key] for key in want)
     return Scenario(name, job, tuple(family), tuple(obs), float(x0), schedule,
-                    indicators, float(tol), workers,
+                    indicators, float(tol),
                     None if override is None else float(override))
 
 
@@ -316,12 +316,12 @@ def _prediction_json(pred: Prediction) -> dict:
 def _trace_for(sc: Scenario):
     if sc.job == "average":
         return engine.multiple_average(build_family(sc.family), sc.observables,
-                                       sc.x0, sc.schedule, sc.workers)
+                                       sc.x0, sc.schedule)
     if sc.job == "correlation":
         return engine.correlation_average(sc.family[0], *sc.indicators,
-                                          sc.schedule, sc.workers)
+                                          sc.schedule)
     return engine.triple_intersection_average(*sc.family, *sc.indicators,
-                                              sc.schedule, sc.workers)
+                                              sc.schedule)
 
 
 def trace_csv(trace) -> str:
@@ -374,7 +374,7 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
 # ---------------------------------------------------------------------------
 # verification table
 #
-# Each criterion takes (schedule, workers, tol_scale) and returns its rows.
+# Each criterion takes (schedule, tol_scale) and returns its rows.
 # ``torusavg verify`` prints the whole table and tests/test_acceptance.py
 # asserts it, so the checks and their expected values live here only.
 # tol_scale relaxes only the finite-N statistical tolerances, never the
@@ -393,37 +393,35 @@ def _row(name, measured, expected, tol):
             "tol": tol, "passed": abs(measured - expected) <= tol}
 
 
-def distinct_rotations(sched, workers, tol_scale):
+def distinct_rotations(sched, tol_scale):
     fam = build_family([_R2, _R3])
     return [_row(f"distinct-rotations x0={x0}",
-                 engine.multiple_average(fam, [_FP, _FP], x0, sched,
-                                         workers).final,
+                 engine.multiple_average(fam, [_FP, _FP], x0, sched).final,
                  0.25, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
 
 
-def repeated_rotation(sched, workers, tol_scale):
+def repeated_rotation(sched, tol_scale):
     fam = build_family([_R2, _R2])
     return [_row(f"repeated-rotation x0={x0}",
-                 engine.multiple_average(fam, [_FP, _FP], x0, sched,
-                                         workers).final,
+                 engine.multiple_average(fam, [_FP, _FP], x0, sched).final,
                  1 / 3, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
 
 
-def periodic_factor(sched, workers, tol_scale):
+def periodic_factor(sched, tol_scale):
     return [_row(f"periodic-factor k={k} x0={x0}",
                  engine.multiple_average(
                      build_family([_R2, dynsys.finite_rotation(k)]), [_FP, _FP],
-                     x0, sched, workers).final,
+                     x0, sched).final,
                  frac(k * x0) / (2 * k) + (k - 1) / (4 * k), 2e-3 * tol_scale)
             for k in (2, 3, 5) for x0 in (0.1, 0.37)]
 
 
-def birkhoff_frac_part(sched, workers, tol_scale):
-    tr = engine.birkhoff_average(_R2, _FP, 0.3, sched, workers)
+def birkhoff_frac_part(sched, tol_scale):
+    tr = engine.birkhoff_average(_R2, _FP, 0.3, sched)
     return [_row("birkhoff frac-part", tr.final, 0.5, 1e-3 * tol_scale)]
 
 
-def shifted_frac_identity(sched, workers, tol_scale):
+def shifted_frac_identity(sched, tol_scale):
     rng = random.Random(20240824)
     xs = np.array([rng.random() for _ in range(10_000)])
     worst = max(float(np.max(np.abs(sum_shifted_frac(xs, k)
@@ -432,22 +430,20 @@ def shifted_frac_identity(sched, workers, tol_scale):
     return [_row("shifted-frac identity (max dev)", worst, 0.0, 1e-12)]
 
 
-def correlation_diagnostic(sched, workers, tol_scale):
+def correlation_diagnostic(sched, tol_scale):
     A, B = observables.indicator(0.0, 0.3), observables.indicator(0.2, 0.7)
-    tr = engine.correlation_average(_R2, A, B, sched, workers)
+    tr = engine.correlation_average(_R2, A, B, sched)
     # refutation path: the identity map keeps len(A n B) = 0.5, far from the
     # product 0.25 that an ergodic limit would demand
     half = observables.indicator(0.0, 0.5)
-    ctl = engine.correlation_average(dynsys.identity(), half, half, sched,
-                                     workers)
+    ctl = engine.correlation_average(dynsys.identity(), half, half, sched)
     return [_row("correlation sqrt2", tr.final, 0.15, 5e-3 * tol_scale),
             _row("identity-map control (non-ergodic)", ctl.final, 0.5, 1e-12)]
 
 
-def triple_intersection(sched, workers, tol_scale):
+def triple_intersection(sched, tol_scale):
     half = observables.indicator(0.0, 0.5)
-    tr = engine.triple_intersection_average(_R2, _R3, half, half, half, sched,
-                                            workers)
+    tr = engine.triple_intersection_average(_R2, _R3, half, half, half, sched)
     return [_row("triple intersection", tr.final, 0.125, 5e-3 * tol_scale)]
 
 
@@ -465,7 +461,7 @@ def _random_member(rng, radicands):
     return dynsys.finite_rotation(rng.randint(2, 4))
 
 
-def randomized_oracle_cross_validation(sched, workers, tol_scale):
+def randomized_oracle_cross_validation(sched, tol_scale):
     rng = random.Random(20240824)
     worst = 0.0
     for _ in range(10):
@@ -477,7 +473,7 @@ def randomized_oracle_cross_validation(sched, workers, tol_scale):
             for _ in fam.members]
         for x0 in (rng.random(), rng.random()):
             pred = predict(fam, fs, x0)
-            tr = engine.multiple_average(fam, fs, x0, sched, workers)
+            tr = engine.multiple_average(fam, fs, x0, sched)
             worst = max(worst, abs(tr.final - pred.value) if pred.applicable
                         else math.inf)
     return [_row("randomized oracle cross-validation (max dev)", worst, 0.0,
@@ -501,7 +497,7 @@ def _random_observable(rng):
         [(0.0, rng.uniform(-1, 1))] + [(p, rng.uniform(-1, 1)) for p in knots])
 
 
-def group_collapse_equivalence(sched, workers, tol_scale):
+def group_collapse_equivalence(sched, tol_scale):
     rng = random.Random(99)
     worst = 0.0
     for _ in range(50):
@@ -512,28 +508,21 @@ def group_collapse_equivalence(sched, workers, tol_scale):
     return [_row("group-collapse equivalence (max dev)", worst, 0.0, 1e-12)]
 
 
-def determinism_and_parallel_consistency(sched, workers, tol_scale):
+def repeat_run_determinism(sched, tol_scale):
     jobs = (
-        lambda w: engine.multiple_average(build_family([_R2, _R3]), [_FP, _FP],
-                                          0.3, sched, w),
-        lambda w: engine.multiple_average(build_family([_R2, _R2]), [_FP, _FP],
-                                          0.3, sched, w),
-        lambda w: engine.multiple_average(
+        lambda: engine.multiple_average(build_family([_R2, _R3]), [_FP, _FP],
+                                        0.3, sched),
+        lambda: engine.multiple_average(build_family([_R2, _R2]), [_FP, _FP],
+                                        0.3, sched),
+        lambda: engine.multiple_average(
             build_family([_R2, dynsys.finite_rotation(3)]), [_FP, _FP], 0.37,
-            sched, w),
+            sched),
     )
-    worst, repeats = 0.0, True
-    for job in jobs:
-        base = job(1)
-        for w in (2, 4, 8):
-            worst = max(worst, max(abs(a - b) for a, b
-                                   in zip(base.values, job(w).values)))
-        repeats = job(workers).values == base.values and repeats
-    return [_row("parallel consistency (max dev)", worst, 0.0, 1e-13),
-            _row("repeat-run determinism", 0.0 if repeats else 1.0, 0.0, 0.0)]
+    repeats = all(job().values == job().values for job in jobs)
+    return [_row("repeat-run determinism", 0.0 if repeats else 1.0, 0.0, 0.0)]
 
 
-def weyl_form_resolution(sched, workers, tol_scale):
+def weyl_form_resolution(sched, tol_scale):
     cases = (
         ("weyl form literal 0.5 -> a = 1/2",
          [dynsys.rotation(ScalarConstant.literal(0.5))],
@@ -548,7 +537,7 @@ def weyl_form_resolution(sched, workers, tol_scale):
                  0.0, 0.0) for name, specs, want in cases]
 
 
-def quadrature(sched, workers, tol_scale):
+def quadrature(sched, tol_scale):
     return [_row("quadrature int {x}", integrate([_FP]), 0.5, 1e-12),
             _row("quadrature int {x}^2", integrate([_FP, _FP]), 1 / 3, 1e-12)]
 
@@ -556,16 +545,15 @@ def quadrature(sched, workers, tol_scale):
 CRITERIA = (distinct_rotations, repeated_rotation, periodic_factor,
             birkhoff_frac_part, shifted_frac_identity, correlation_diagnostic,
             triple_intersection, randomized_oracle_cross_validation,
-            group_collapse_equivalence, determinism_and_parallel_consistency,
+            group_collapse_equivalence, repeat_run_determinism,
             weyl_form_resolution, quadrature)
 
 
-def verify_builtin(n_max: int = 10 ** 6, workers: int = 1,
-                   tol_scale: float = 1.0):
+def verify_builtin(n_max: int = 10 ** 6, tol_scale: float = 1.0):
     """Run the verification table; returns (rows, all_passed)."""
     sched = Schedule.geometric(n_max)
     rows = [row for criterion in CRITERIA
-            for row in criterion(sched, workers, tol_scale)]
+            for row in criterion(sched, tol_scale)]
     return rows, all(r["passed"] for r in rows)
 
 
@@ -599,7 +587,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--quick", action="store_true",
                        help="N=1e5 with 3x relaxed tolerances")
     p_ver.add_argument("--nmax", type=int, default=None)
-    p_ver.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
 
@@ -624,8 +611,7 @@ def main(argv=None) -> int:
     n_max = args.nmax if args.nmax is not None else (10 ** 5 if args.quick
                                                      else 10 ** 6)
     tol_scale = 3.0 if args.quick else 1.0
-    rows, ok = verify_builtin(n_max=n_max, workers=args.workers,
-                              tol_scale=tol_scale)
+    rows, ok = verify_builtin(n_max=n_max, tol_scale=tol_scale)
     print_rows(rows)
     print(f"{sum(r['passed'] for r in rows)}/{len(rows)} checks passed "
           f"at N={n_max}")

@@ -5,15 +5,13 @@ Orbits are evaluated blockwise: each block starts from the exact base
 iterated additions) and adds j*alpha for the local step j, split so that
 the large part is exact in float64.  Block sums are exactly rounded by an
 error-free vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit)
-and merged through a Neumaier accumulator in fixed block order, so traces
-are bitwise reproducible for any worker count.
+and merged through a Neumaier accumulator in block order, in one thread,
+so traces are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -31,8 +29,6 @@ MAX_N = 1 << 53
 # geometric schedules take about log(n_max / first) / log(ratio) steps: at
 # most 344k at this floor, which parses in well under a second
 MIN_RATIO = 1.0001
-# blocks in flight per pool thread: enough to keep every thread busy
-_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -266,79 +262,47 @@ class ArcJob:
         return _arc_intersection_lengths(arcs, ws[3 * len(self.moving):])
 
 
-def _block_plan(checkpoints, chunk_size: int):
-    """Blocks [n0, n1) cut at every checkpoint and every multiple of
-    chunk_size, generated in order one at a time."""
+def _block_plan(checkpoints, chunk: int):
+    """Blocks [n0, n1) cut at every checkpoint and every multiple of chunk,
+    generated in order one at a time."""
     n0 = 0
     for c in checkpoints:
         while n0 < c:
-            n1 = min(c, (n0 // chunk_size + 1) * chunk_size)
+            n1 = min(c, (n0 // chunk + 1) * chunk)
             yield n0, n1
             n0 = n1
 
 
-def _map_in_order(pool, fn, items, window: int):
-    """Like ``pool.map``, but submits items lazily and keeps at most
-    ``window`` of them in flight."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def run_chunked(job, workers: int = 1, chunk_size: int = DEFAULT_CHUNK) -> AverageTrace:
-    """Execute a job over fixed contiguous blocks.
-
-    The block plan depends only on the schedule and chunk_size, block sums
-    are exactly rounded (``_dd.v_sum``) and merged in plan order, so any
-    worker count yields identical traces.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+def run_job(job) -> AverageTrace:
+    """Execute a job over fixed contiguous blocks of at most DEFAULT_CHUNK
+    terms.  Block sums are exactly rounded (``_dd.v_sum``) and merged in
+    plan order; a block ends at every checkpoint, where the running average
+    is recorded."""
     cps = job.schedule.checkpoints
-    blocks = _block_plan(cps, chunk_size)
-
-    def block_sum(block):
-        n0, n1 = block
-        return n1, _dd.v_sum(job.terms(n0, n1))
-
     acc = CompensatedSum()
     values = []
-    it = iter(cps)
-    nxt = next(it)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sums = (map(block_sum, blocks) if workers == 1 else
-                _map_in_order(pool, block_sum, blocks, _BLOCKS_PER_WORKER * workers))
-        for n1, s in sums:
-            acc.add(s)
-            if n1 == nxt:
-                values.append(acc.value() / n1)
-                nxt = next(it, None)
+    for n0, n1 in _block_plan(cps, DEFAULT_CHUNK):
+        acc.add(_dd.v_sum(job.terms(n0, n1)))
+        if n1 == cps[len(values)]:
+            values.append(acc.value() / n1)
     est_tail = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
     return AverageTrace(job.schedule, tuple(values), values[-1], est_tail)
 
 
-def birkhoff_average(t: TransformSpec, f: Observable, x0, s: Schedule,
-                     workers: int = 1) -> AverageTrace:
+def birkhoff_average(t: TransformSpec, f: Observable, x0, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} f(T^n x0) at every checkpoint."""
     job = DiagonalJob((effective_rotation(t),), (f,), UnitPoint.from_real(x0), s)
-    return run_chunked(job, workers)
+    return run_job(job)
 
 
-def multiple_average(fam: TransformFamily, fs, x0, s: Schedule,
-                     workers: int = 1) -> AverageTrace:
+def multiple_average(fam: TransformFamily, fs, x0, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} prod_i f_i(T_i^n x0)."""
     fs = tuple(fs)
     if len(fs) != len(fam.members):
         raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
     job = DiagonalJob(tuple(effective_rotation(m) for m in fam.members), fs,
                       UnitPoint.from_real(x0), s)
-    return run_chunked(job, workers)
+    return run_job(job)
 
 
 def _require_indicator(f: Observable, name: str):
@@ -349,21 +313,21 @@ def _require_indicator(f: Observable, name: str):
 
 
 def correlation_average(t: TransformSpec, A: Observable, B: Observable,
-                        s: Schedule, workers: int = 1) -> AverageTrace:
+                        s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} len(T^-n A ∩ B), each term exact."""
     a, la = _require_indicator(A, "A")
     b, lb = _require_indicator(B, "B")
     job = ArcJob(((effective_rotation(t), a, la),), ((b, lb),), s)
-    return run_chunked(job, workers)
+    return run_job(job)
 
 
 def triple_intersection_average(t1: TransformSpec, t2: TransformSpec,
                                 A: Observable, B: Observable, C: Observable,
-                                s: Schedule, workers: int = 1) -> AverageTrace:
+                                s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} len(T1^-n A ∩ T2^-n B ∩ C)."""
     a, la = _require_indicator(A, "A")
     b, lb = _require_indicator(B, "B")
     c, lc = _require_indicator(C, "C")
     job = ArcJob(((effective_rotation(t1), a, la),
                   (effective_rotation(t2), b, lb)), ((c, lc),), s)
-    return run_chunked(job, workers)
+    return run_job(job)

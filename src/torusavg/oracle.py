@@ -31,16 +31,21 @@ from .observables import (QuadratureBudgetError, QuadratureSpec,
 from .unitmath import UnitPoint
 
 MAX_PERIOD = 1 << 20
+# Periods from here up are not written out in decimal: int-to-str
+# conversion may refuse more than 640 digits (the least limit that
+# sys.set_int_max_str_digits takes).
+_PRINTABLE = 1 << 2048
 
 
 @dataclass(frozen=True)
 class Factor:
     """The members over one radicand m and the period of their rational
-    parts; m = 1 holds the rational members, with the period q of the sum."""
+    parts; m = 1 holds the rational members, with the period q of the sum.
+    A period of _PRINTABLE or more is None."""
 
     radicand: int
     indices: tuple[int, ...]
-    period: int
+    period: int | None
 
 
 @dataclass(frozen=True)
@@ -52,17 +57,17 @@ class Prediction:
 
 
 def _resolve(members):
-    """(weyl_form terms, derivation)."""
+    """(weyl_form terms, derivation, period q)."""
     terms = weyl_form(members)
     classes = {1: []}
     for i, t in enumerate(terms):
         classes.setdefault(t.m, []).append(i)
     q = math.lcm(*(t.a.denominator for t in terms))
-    derivation = tuple(
-        Factor(m, tuple(idx), q if m == 1 else
-               math.lcm(*(terms[i].a.denominator for i in idx)))
-        for m, idx in classes.items())
-    return terms, derivation
+    derivation = []
+    for m, idx in classes.items():
+        p = q if m == 1 else math.lcm(*(terms[i].a.denominator for i in idx))
+        derivation.append(Factor(m, tuple(idx), p if p < _PRINTABLE else None))
+    return terms, tuple(derivation), q
 
 
 def _bezout(a: int, b: int):
@@ -93,11 +98,11 @@ def predict(fam: TransformFamily, fs, x0=0.0,
     fs = list(fs)
     if len(fs) != len(fam.members):
         raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    terms, derivation = _resolve(fam.members)
-    q = derivation[0].period
+    terms, derivation, q = _resolve(fam.members)
     if q > MAX_PERIOD:
+        shown = q if q < _PRINTABLE else f"of {q.bit_length()} bits"
         return Prediction(None, derivation, False,
-                          (f"period {q} exceeds {MAX_PERIOD}",))
+                          (f"period {shown} exceeds {MAX_PERIOD}",))
     quad = quad or QuadratureSpec()
     x0 = UnitPoint.from_real(x0)
 
@@ -127,7 +132,7 @@ def predict_intersection(members, indicators) -> Prediction:
     arc lengths when every member is a surd rotation and no two share a
     radicand, so that the orbit is equidistributed on the torus; otherwise
     not applicable."""
-    _, derivation = _resolve(members)
+    _, derivation, _ = _resolve(members)
     if (derivation[0].indices or
             any(len(f.indices) > 1 for f in derivation[1:])):
         return Prediction(None, derivation, False,

@@ -26,6 +26,10 @@ def frac(x: float) -> float:
     return 0.0 if r >= 1.0 else r
 
 
+# radicands factor by trial division up to sqrt(m): 2**16 steps at most
+MAX_RADICAND = 1 << 32
+
+
 def _squarefree(m: int):
     """Split m = s**2 * r with r square-free; returns (s, r)."""
     s, r, d = 1, m, 2
@@ -77,10 +81,11 @@ class ScalarConstant:
 
     @staticmethod
     def surd(a, b, m: int) -> "ScalarConstant":
-        """a + b*sqrt(m); square factors of m are pulled into b."""
+        """a + b*sqrt(m) for 1 <= m <= MAX_RADICAND; square factors of m
+        are pulled into b."""
         a, b = Fraction(a), Fraction(b)
-        if m <= 0:
-            raise ValueError("surd radicand must be a positive integer")
+        if not 0 < m <= MAX_RADICAND:
+            raise ValueError(f"surd radicand must be an integer in [1, {MAX_RADICAND}]")
         s, r = _squarefree(m)
         b *= s
         if b == 0 or r == 1:

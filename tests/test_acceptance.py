@@ -14,7 +14,7 @@ SCHED = Schedule.geometric(10 ** 6)
 
 def _acceptance_test(criterion):
     def test():
-        rows = criterion(SCHED, 1, 1.0)
+        rows = criterion(SCHED, 1.0)
         print_rows(rows)
         assert all(r["passed"] for r in rows), rows
     return test

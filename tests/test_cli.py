@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -33,7 +34,7 @@ def test_parse_minimal_scenario():
     assert sc.family[0].alpha == ScalarConstant.surd(0, 1, 2)
     assert sc.observables[0].kind == "frac_part"
     assert sc.schedule.checkpoints == (10, 100, 1000)
-    assert sc.x0 == 0.0 and sc.workers == 1
+    assert sc.x0 == 0.0
     assert sc.tolerance == 0.01
 
 
@@ -184,6 +185,19 @@ def test_parse_refuses_mistyped_values(path, value):
     assert any(m.startswith(where.lstrip(".")) for m in exc.value.errors)
 
 
+def test_parse_refuses_a_large_radicand_at_once():
+    # 2**61 - 1 is prime: trial division would take about 2**30 steps
+    doc = json.loads(MINIMAL)
+    doc["family"][0]["alpha"] = {"surd": {"m": 2 ** 61 - 1}}
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.errors == [
+        "family[0].alpha.surd: surd radicand must be an integer in "
+        "[1, 4294967296]"]
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_parse_refuses_nonpositive_periodic_order(k):
     # the periodic factor is a finite rotation of order k
@@ -280,6 +294,28 @@ def test_main_run_constant_with_a_large_period(tmp_path, alpha):
     report = _strict_json((tmp_path / "big.report.json").read_text())
     assert report["prediction"]["applicable"] is False
     assert 0.0 <= report["measured"] < 1.0
+
+
+def test_main_period_beyond_int_to_str_limit(tmp_path, capsys):
+    # the period (10**2500 + 1)*(10**2500 + 3) has 5,001 digits, more than
+    # an int converts to text by default
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps({
+        "name": "huge",
+        "family": [{"kind": "rotation",
+                    "alpha": {"rational": {"p": 1, "q": 10 ** 2500 + k}}}
+                   for k in (1, 3)],
+        "observables": [{"kind": "frac_part"}, {"kind": "frac_part"}],
+        "schedule": {"checkpoints": [10, 1000]}, "tolerance": 0.01}))
+    assert main(["predict", str(p)]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["applicable"] is False and out["value"] is None
+    assert out["caveats"] == ["period of 16610 bits exceeds 1048576"]
+    assert out["derivation"][0]["period"] is None
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "huge.report.json").read_text())
+    assert report["prediction"]["applicable"] is False
+    assert report["passed"] is None
 
 
 def test_main_predict_inapplicable_prints_null(tmp_path, capsys):
@@ -410,12 +446,11 @@ def test_main_missing_file_exits_2(tmp_path, capsys):
 
 def test_verify_builtin_small_n():
     rows, ok = verify_builtin(n_max=2000, tol_scale=30.0)
-    assert len(rows) == 26
+    assert len(rows) == 25
     # exact checks hold at any N
     by_name = {r["name"]: r for r in rows}
     assert by_name["shifted-frac identity (max dev)"]["passed"]
     assert by_name["group-collapse equivalence (max dev)"]["passed"]
-    assert by_name["parallel consistency (max dev)"]["passed"]
     assert by_name["repeat-run determinism"]["passed"]
     assert by_name["weyl form literal 0.5 -> a = 1/2"]["passed"]
     assert by_name["weyl form (sqrt2, sqrt8) -> c = (1, 2) over sqrt2"]["passed"]
@@ -427,4 +462,4 @@ def test_main_verify_quick_smoke(capsys):
     assert main(["verify", "--nmax", "2000"]) in (0, 1)
     out = capsys.readouterr().out
     assert "checks passed" in out
-    assert out.count("\n") >= 26
+    assert out.count("\n") >= 25

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from torusavg.dynsys import (build_family, finite_rotation, rotation,
                              rotation_power)
-from torusavg.engine import (_BLOCKS_PER_WORKER, MAX_N, ArcJob, AverageTrace,
-                             DiagonalJob, Schedule, _block_plan, _orbit_block,
+from torusavg.engine import (MAX_N, ArcJob, AverageTrace, DiagonalJob,
+                             Schedule, _block_plan, _orbit_block,
                              birkhoff_average, correlation_average,
-                             multiple_average, run_chunked,
+                             multiple_average, run_job,
                              triple_intersection_average)
 from torusavg.observables import (constant, evaluate, frac_part, indicator,
                                   power_of_frac, product, trig_poly,
@@ -163,26 +163,19 @@ def test_prefix_property():
     assert long.values[:3] == short.values
 
 
-def test_chunk_size_invariance():
-    from torusavg.engine import DiagonalJob, run_chunked
-    from torusavg.unitmath import UnitPoint
+def run_with_chunk(monkeypatch, job, chunk):
+    monkeypatch.setattr("torusavg.engine.DEFAULT_CHUNK", chunk)
+    return run_job(job)
+
+
+def test_chunk_size_invariance(monkeypatch):
     job = DiagonalJob((SQRT2,), (frac_part(),), UnitPoint(0.3),
                       Schedule((7, 123, 1000)))
-    a = run_chunked(job, chunk_size=1)
-    b = run_chunked(job, chunk_size=1 << 16)
-    c = run_chunked(job, chunk_size=17)
+    a = run_with_chunk(monkeypatch, job, 1)
+    b = run_with_chunk(monkeypatch, job, 1 << 16)
+    c = run_with_chunk(monkeypatch, job, 17)
     assert max(abs(x - y) for x, y in zip(a.values, b.values)) <= 1e-13
     assert max(abs(x - y) for x, y in zip(a.values, c.values)) <= 1e-13
-
-
-def test_worker_count_bitwise_identical():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
-    sch = Schedule.geometric(200_000)
-    base = multiple_average(fam, [frac_part(), frac_part()], 0.3, sch)
-    for w in (2, 4, 8):
-        tr = multiple_average(fam, [frac_part(), frac_part()], 0.3, sch,
-                              workers=w)
-        assert tr.values == base.values  # bitwise
 
 
 def test_average_bounded_by_observable_range():
@@ -223,7 +216,7 @@ def test_block_plan_matches_eager_plan(args):
 
 
 def fsum_trace(job, chunk_size):
-    """run_chunked's values with every block reduced by math.fsum."""
+    """run_job's values with every block reduced by math.fsum."""
     cps = job.schedule.checkpoints
     acc, values = CompensatedSum(), []
     for n0, n1 in eager_plan(cps, chunk_size):
@@ -233,8 +226,7 @@ def fsum_trace(job, chunk_size):
     return values
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_chunked_equals_fsum_reference(workers):
+def test_run_job_equals_fsum_reference(monkeypatch):
     sch = Schedule((7, 1000, 4096, 50_000, 123_457))
     diag = DiagonalJob(
         (SQRT2, ScalarConstant.surd("1/3", "-2/7", 5)),
@@ -245,12 +237,11 @@ def test_run_chunked_equals_fsum_reference(workers):
                  ((0.3, 0.5),), sch)
     for job in (diag, arc):
         for chunk in (4096, 1 << 16):
-            tr = run_chunked(job, workers=workers, chunk_size=chunk)
+            tr = run_with_chunk(monkeypatch, job, chunk)
             assert list(tr.values) == fsum_trace(job, chunk)  # bitwise
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_chunked_stops_within_its_window(workers):
+def test_run_job_stops_at_the_failing_block():
     # 16,384 blocks; the fourth one fails
     calls = []
 
@@ -264,8 +255,8 @@ def test_run_chunked_stops_within_its_window(workers):
             return np.zeros(n1 - n0)
 
     with pytest.raises(RuntimeError):
-        run_chunked(Job(), workers=workers)
-    assert len(calls) <= 3 + _BLOCKS_PER_WORKER * workers
+        run_job(Job())
+    assert len(calls) == 4
 
 
 def test_orbit_length_capped_where_the_constant_error_stays_small():
@@ -455,12 +446,6 @@ def test_arc_terms_match_product_of_intervals(moving, fixed):
         got = job.terms(n0, n0 + length)
         ref = former_arc_terms(job, n0, n0 + length)
         assert got.tobytes() == ref.tobytes(), (n0, length)  # sign of 0 too
-
-
-def test_run_chunked_argument_errors():
-    tr_args = (rotation(SQRT2), frac_part(), 0.0, Schedule((10,)))
-    with pytest.raises(ValueError):
-        birkhoff_average(*tr_args, workers=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ document that breaks one, and on all other documents the two must agree.
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
 from torusavg.dynsys import build_family, effective_rotation
 from torusavg.engine import MAX_N, MIN_RATIO, _orbit_block
 from torusavg.oracle import predict
-from torusavg.unitmath import UnitPoint
+from torusavg.unitmath import MAX_RADICAND, UnitPoint
 
 SCENARIOS = resources.files("torusavg") / "scenarios"
 SCHEMA = json.loads((SCENARIOS / "scenario.schema.json").read_text())
@@ -39,6 +41,24 @@ def test_shipped_scenarios_match_schema():
     for n in names:
         jsonschema.validate(json.loads((SCENARIOS / n).read_text()), SCHEMA,
                             cls=Validator)
+
+
+def test_benchmark_inputs_parse_at_any_worker_count():
+    # the benchmark writes "workers": 2 into its shipped jobs and 1 into
+    # their check variants; the field is validated and has no effect
+    here = Path(__file__).resolve().parents[1] / "perfbench" / "shipped"
+    paths = sorted(here.glob("*.json"))
+    assert len(paths) == 6
+    for path in paths:
+        doc = json.loads(path.read_text())
+        parsed = []
+        for workers in (1, 2):
+            doc["workers"] = workers
+            parsed.append(parse_scenario(json.dumps(doc)))
+        assert parsed[0] == parsed[1], path.name
+        doc["workers"] = 0
+        with pytest.raises(ScenarioError):
+            parse_scenario(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +98,7 @@ def row(*types):
 
 
 COUNT = rarely(st.integers(1, 12), st.integers(-1, 0))
+RADICAND = st.one_of(COUNT, st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1]))
 UNIT = rarely(st.floats(0, 1, exclude_max=True), st.floats(-0.25, 1.25))
 NUM = st.one_of(st.floats(-2, 2), st.integers(-2, 2))
 FRACTION = st.one_of(st.integers(-3, 3), rarely(
@@ -86,7 +107,7 @@ FRACTION = st.one_of(st.integers(-3, 3), rarely(
 constant = rarely(st.one_of(
     st.fixed_dictionaries({"rational": record({"p": st.integers(-3, 3)},
                                               {"q": COUNT})}),
-    st.fixed_dictionaries({"surd": record({"m": COUNT},
+    st.fixed_dictionaries({"surd": record({"m": RADICAND},
                                           {"a": FRACTION, "b": FRACTION})}),
     st.fixed_dictionaries({"literal": typo(NUM)})),
     st.just({"rational": {"p": 1}, "literal": 0.5}))
@@ -219,7 +240,10 @@ CONSTANT = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([5e-324, -0.0, 1e300, 12.0, 0.1]))),
     st.builds(lambda a, b, m: {"surd": {"a": a, "b": b, "m": m}},
-              FRACTION_TEXT, FRACTION_TEXT, st.integers(0, 10 ** 6)))
+              FRACTION_TEXT, FRACTION_TEXT, st.one_of(
+                  st.integers(0, 10 ** 6),
+                  st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1,
+                                   2 ** 61 - 1]))))
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
-                               frac, orbit_point, sum_shifted_frac)
+from torusavg.unitmath import (MAX_RADICAND, CompensatedSum, ScalarConstant,
+                               UnitPoint, frac, orbit_point, sum_shifted_frac)
 
 mp.mp.dps = 40
 
@@ -100,6 +100,16 @@ def test_surd_normalization():
     # degenerate radicand collapses to a rational
     assert ScalarConstant.surd(1, 2, 4) == ScalarConstant(Fraction(5), 0, 1)
     assert ScalarConstant.surd(1, 0, 3) == ScalarConstant.rational(1)
+
+
+def test_surd_radicand_cap():
+    # 2**32 = 65536**2 is a square; the largest prime below the cap factors
+    # by trial division in milliseconds
+    assert ScalarConstant.surd(0, 1, MAX_RADICAND) == ScalarConstant.rational(65536)
+    assert ScalarConstant.surd(0, 1, 4294967291).m == 4294967291
+    for bad in (0, -2, MAX_RADICAND + 1):
+        with pytest.raises(ValueError):
+            ScalarConstant.surd(0, 1, bad)
 
 
 def test_literal_is_its_decimal_rational():
