@@ -318,6 +318,19 @@ def test_main_period_beyond_int_to_str_limit(tmp_path, capsys):
     assert report["passed"] is None
 
 
+def test_main_refuses_an_unbounded_frequency(tmp_path, capsys):
+    p = tmp_path / "sc.json"
+    doc = json.loads(MINIMAL)
+    doc["observables"] = [{"kind": "trig_poly", "coeffs": [[10 ** 400, 1, 0]]}]
+    p.write_text(json.dumps(doc))
+    # schema-valid before the cap: run crashed with OverflowError, predict
+    # printed 0.0
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 2
+    assert main(["predict", str(p)]) == 2
+    assert capsys.readouterr().err.count(
+        "observables[0]: frequency must be an integer in [-1048576, 1048576]") == 2
+
+
 def test_main_predict_inapplicable_prints_null(tmp_path, capsys):
     p = tmp_path / "sc.json"
     p.write_text(INAPPLICABLE)

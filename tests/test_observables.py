@@ -1,10 +1,14 @@
+import gc
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from torusavg.observables import (MAX_PRODUCT_FACTORS, Observable,
+from torusavg.observables import (MAX_FREQUENCY, MAX_PRODUCT_FACTORS, Observable,
                                   QuadratureBudgetError, QuadratureSpec,
                                   constant, evaluate, evaluate_array,
                                   frac_part, indicator, integrate,
@@ -59,6 +63,10 @@ def test_constructor_domain_errors():
         piecewise_linear([(0.1, 1.0)])
     with pytest.raises(ValueError):
         piecewise_linear([(0.0, 1.0), (0.5, 2.0), (0.3, 0.0)])
+    for k in (MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1, 10 ** 400):
+        with pytest.raises(ValueError):
+            trig_poly([(k, 1.0, 0.0)])
+    assert trig_poly([(MAX_FREQUENCY, 1.0, 0.0), (-MAX_FREQUENCY, 0.0, 1.0)])
 
 
 def test_evaluate_array_matches_scalar():
@@ -70,6 +78,60 @@ def test_evaluate_array_matches_scalar():
         arr = evaluate_array(f, xs)
         for x, v in zip(xs, arr):
             assert evaluate(f, float(x)) == pytest.approx(v, abs=1e-15)
+
+
+_rng = random.Random(8)
+TRIG_SPECTRA = {
+    "dense": [(k, _rng.uniform(-1, 1), _rng.uniform(-1, 1)) for k in range(7)],
+    "single": [(1, 0.8, -0.6)],
+    "negative-duplicate": [(3, 0.5, -0.25), (-3, 0.75, 0.5), (1, 1.0, 1.0),
+                           (1, -0.5, 0.25), (-1, 0.2, 0.3), (-2, 0.0, -0.9)],
+    "constant-with-sine": [(0, 0.7, 5.0), (0, -0.2, -1.0), (2, 0.3, -0.4)],
+    "sparse": [(1, 0.6, -0.3), (4096, -0.4, 0.8), (1 << 19, 0.9, 0.1)],
+    "max-frequency": [(MAX_FREQUENCY, 0.7, -0.6), (-MAX_FREQUENCY, 0.1, 0.2)],
+}
+
+
+@pytest.mark.parametrize("name", [n for n in TRIG_SPECTRA if n != "single"])
+def test_trig_poly_matches_mpmath(name):
+    coeffs = TRIG_SPECTRA[name]
+    xs = np.concatenate([np.random.default_rng(4).random(400), [
+        0.0, 1e-12, 1e-6, 0.5 - 1e-6, 0.5 - 2.0 ** -40, 0.5, 0.5 + 1e-9,
+        0.5 + 1e-6, 1.0 - 1e-6, 1.0 - 2.0 ** -53]])
+    got = evaluate_array(trig_poly(coeffs), xs)
+    # Horner in z = e(x) on |z| = 1: phase error 2*pi*|k|*eps per term,
+    # rounding of order eps per Horner step; C = 2
+    kmax = max(abs(k) for k, _, _ in coeffs)
+    steps = len({abs(k) for k, _, _ in coeffs})
+    amp = sum(abs(c) + abs(s) for _, c, s in coeffs)
+    bound = 2 * (2 * math.pi * kmax + steps) * 2.0 ** -53 * amp
+    with mp.workdps(50):
+        for x, v in zip(xs, got):
+            w = 2 * mp.pi * mp.mpf(float(x))
+            want = mp.fsum(c * mp.cos(k * w) + s * mp.sin(k * w)
+                           for k, c, s in coeffs)
+            assert abs(v - want) <= bound, (x, v, want)
+
+
+@pytest.mark.parametrize("name", ["dense", "single", "sparse"])
+def test_trig_poly_evaluation_memory(name):
+    xs = np.random.default_rng(5).random(1 << 20)
+    f = trig_poly(TRIG_SPECTRA[name])
+    evaluate_array(f, xs)  # numpy's one-time set-up is not the evaluation's
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            evaluate_array(f, xs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - base <= 48 * xs.size
+    # numpy keeps a few freed shape buffers (48 bytes here); a kept power or
+    # result would be 128 KB or more
+    assert current - base < 4096
 
 
 def test_value_bounds_enclose_samples():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
 from torusavg.dynsys import build_family, effective_rotation
 from torusavg.engine import MAX_N, MIN_RATIO, _orbit_block
+from torusavg.observables import MAX_FREQUENCY
 from torusavg.oracle import predict
 from torusavg.unitmath import MAX_RADICAND, UnitPoint
 
@@ -99,6 +100,8 @@ def row(*types):
 
 COUNT = rarely(st.integers(1, 12), st.integers(-1, 0))
 RADICAND = st.one_of(COUNT, st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1]))
+FREQUENCY = st.one_of(st.integers(-3, 6), st.sampled_from(
+    [MAX_FREQUENCY, -MAX_FREQUENCY, MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1]))
 UNIT = rarely(st.floats(0, 1, exclude_max=True), st.floats(-0.25, 1.25))
 NUM = st.one_of(st.floats(-2, 2), st.integers(-2, 2))
 FRACTION = st.one_of(st.integers(-3, 3), rarely(
@@ -132,7 +135,7 @@ observable = st.one_of(
     record({"kind": st.just("power_of_frac"), "p": COUNT}),
     indicator,
     record({"kind": st.just("trig_poly"),
-            "coeffs": st.lists(row(st.integers(-3, 6), NUM, NUM),
+            "coeffs": st.lists(row(FREQUENCY, NUM, NUM),
                                max_size=3)}),
     record({"kind": st.just("piecewise_linear"), "knots": knots}))
 # Ratios from the floor upward, plus the floor, the float just below it
