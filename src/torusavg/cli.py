@@ -28,6 +28,9 @@ from .oracle import Prediction, compare, predict, predict_intersection
 from .unitmath import ScalarConstant, sum_shifted_frac, frac
 
 JOB_KINDS = ("average", "correlation", "triple")
+# n_max * prod_i max(1, max|f_i|) stays below this, so that every term,
+# every partial product of the factors and every sum of terms is finite
+MAX_SCALE = 2.0 ** 1023
 
 
 class ScenarioError(ValueError):
@@ -290,6 +293,13 @@ def parse_scenario(text) -> Scenario:
         if periodic is not None:  # one more member, the finite rotation
             g, s_map = periodic
             family, obs = family + [s_map], obs + [g]
+        scale = schedule.checkpoints[-1] * math.prod(
+            max(1.0, *map(abs, observables.value_bounds(f))) for f in obs)
+        if not scale < MAX_SCALE:
+            raise ScenarioError([
+                f"observables: n_max times the product of each factor's "
+                f"largest |value| (taken as at least 1) must be below "
+                f"2**1023, got {scale:.4g}"])
     else:
         obs, indicators = (), tuple(indicators[key] for key in want)
     return Scenario(name, job, tuple(family), tuple(obs), float(x0), schedule,

@@ -3,10 +3,16 @@
 Orbits are evaluated blockwise: each block starts from the exact base
 {x0 + n0*alpha} (product reduction with Python-int step counts, never
 iterated additions) and adds j*alpha for the local step j, split so that
-the large part is exact in float64.  Block sums are exactly rounded by an
-error-free vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit)
-and merged through a Neumaier accumulator in block order, in one thread,
-so traces are bitwise reproducible.
+the large part is exact in float64.  A rational member repeats with its
+period q, so when q is shorter than the block its observable is evaluated
+at one period of points and the values are tiled.  That gives the terms
+bit for bit, as no value depends on the length of the array it is
+computed in; for this, trig_poly runs each Horner multiply out of place,
+since numpy rounds an in-place complex multiply of a one-element array
+through a scalar path.  Block sums are exactly rounded by an error-free
+vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit) and merged
+through a Neumaier accumulator in block order, in one thread, so traces
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -105,11 +111,30 @@ def _wrap(o: np.ndarray, t: np.ndarray) -> np.ndarray:
     return o
 
 
+def _period(const: ScalarConstant):
+    """The period q of {x0 + n*const} when const = p/q (mod 1) with
+    p*q < 2**62, the orbits ``rational_points`` computes; None otherwise."""
+    if const.b:
+        return None
+    fr = const.a % 1
+    return fr.denominator if fr.numerator * fr.denominator < 1 << 62 else None
+
+
+def _tile(out, m: int):
+    """Repeat out[:m] across out, in place, by doubling copies."""
+    while m < len(out):
+        c = min(m, len(out) - m)
+        out[m:m + c] = out[:c]
+        m += c
+    return out
+
+
 def rational_points(x0: UnitPoint, fr, n0: int, out):
     """{x0 + n*fr} for a Fraction fr, from the exact residue n*p mod q of
     fr mod 1 = p/q, written to out; p*q must be below 2**62, so the residues
     stay exact in int64.  The points repeat with period q, so one period is
-    computed and copied."""
+    computed and tiled; ``DiagonalJob.terms`` asks for one period only and
+    tiles the observable's values instead."""
     fr %= 1
     p, q = fr.numerator, fr.denominator
     m = min(q, len(out))
@@ -118,18 +143,14 @@ def rational_points(x0: UnitPoint, fr, n0: int, out):
     o = np.subtract(h, np.floor(h), out=out[:m])
     o += e + x0.comp
     _wrap(o, h)
-    while m < len(out):
-        c = min(m, len(out) - m)
-        out[m:m + c] = out[:c]
-        m += c
-    return out
+    return _tile(out, m)
 
 
 def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
                  ws) -> np.ndarray:
     """Points {x0 + n*alpha} for n0 <= n < n1, within about half an ulp.
 
-    A rational alpha = p/q (mod 1) with p*q < 2**62 goes to
+    A rational alpha with a period (``_period``) goes to
     ``rational_points``.  Any other alpha runs in L <= _STEP_MAX points from
     the base {x0 + m0*alpha} (``orbit_point``: Python-int step count, exact
     rational part), adding j*{alpha} for the local step j < L.  Base and
@@ -143,10 +164,8 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
     buffer ws.
     """
     out, t = ws
-    if not const.b:
-        fr = const.a % 1
-        if fr.numerator * fr.denominator < 1 << 62:
-            return rational_points(x0, fr, n0, out)
+    if _period(const) is not None:
+        return rational_points(x0, const.a, n0, out)
     step = _dd.dd_frac(const.dd())
     for m0 in range(n0, n1, _STEP_MAX):
         m1 = min(n1, m0 + _STEP_MAX)
@@ -176,11 +195,23 @@ class DiagonalJob:
     schedule: Schedule
 
     def terms(self, n0: int, n1: int) -> np.ndarray:
-        # one buffer per block: member i's points in row i, scratch in row i+1
+        """The terms for n0 <= n < n1.  A member of period q shorter than
+        the block is evaluated at its first q points only, and the q values
+        are tiled.  Its values repeat as its points do, and no value
+        depends on the length of the array it is evaluated in (each
+        Horner multiply of a trig_poly runs out of place for this), so the
+        terms are the bits that evaluating every point gives."""
+        # one buffer per block: member i's points, then its values, in row
+        # i, scratch in row i+1
         ws = np.empty((len(self.constants) + 1, n1 - n0))
         out = None
         for i, (c, f) in enumerate(zip(self.constants, self.observables)):
-            vals = evaluate_array(f, _orbit_block(self.x0, c, n0, n1, ws[i:i + 2]))
+            m = min(_period(c) or n1 - n0, n1 - n0)
+            vals = evaluate_array(f, _orbit_block(self.x0, c, n0, n0 + m,
+                                                  ws[i:i + 2, :m]))
+            if m < n1 - n0:
+                ws[i, :m] = vals
+                vals = _tile(ws[i], m)
             if out is None:
                 out = vals
             else:

@@ -21,7 +21,7 @@ from .unitmath import UnitPoint
 MAX_PRODUCT_FACTORS = 9
 # largest |frequency| of a trig_poly (see trig_poly)
 MAX_FREQUENCY = 1 << 20
-# points per Horner pass, for two complex buffers of 128 KB: the fastest of
+# points per Horner pass, for three complex buffers of 128 KB: the fastest of
 # 2**11 to 2**14 and of whole 2**16-point blocks
 _HORNER_CHUNK = 1 << 13
 _PANEL_BUDGET = 1 << 20
@@ -84,7 +84,9 @@ def constant(c: float) -> Observable:
 
 def piecewise_linear(knots) -> Observable:
     """Linear interpolation between knots, wrapping back to the first knot
-    at 1; the first knot must sit at position 0."""
+    at 1; the first knot must sit at position 0.  Every slope must be a
+    finite float: np.interp computes values from the slopes, and an
+    infinite one gives infinite values between finite knots."""
     knots = tuple((float(p), float(v)) for p, v in knots)
     if not knots or knots[0][0] != 0.0:
         raise ValueError("first knot must be at position 0.0")
@@ -93,8 +95,11 @@ def piecewise_linear(knots) -> Observable:
         raise ValueError("knot positions must be strictly increasing in [0, 1)")
     xs = pos + [1.0]
     vs = [v for _, v in knots] + [knots[0][1]]
-    integral = sum((x1 - x0) * (v0 + v1) / 2.0
-                   for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]))
+    segments = list(zip(xs, xs[1:], vs, vs[1:]))
+    if not all(math.isfinite((v1 - v0) / (x1 - x0)) for x0, x1, v0, v1 in segments):
+        raise ValueError("knot slopes must be finite")
+    # halves first, so that no sum of two knot values overflows
+    integral = sum((x1 - x0) * (v0 / 2.0 + v1 / 2.0) for x0, x1, v0, v1 in segments)
     return Observable("piecewise_linear", params=knots,
                       breakpoints=tuple(pos), exact_integral=integral)
 
@@ -144,17 +149,22 @@ def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
     recomputed when g changes and never squared up from z: |z| = 1 +- eps
     grows like e^{g*eps}, and each kept power costs 16 bytes a point.
     Points go through in chunks of _HORNER_CHUNK, so p and z^g stay in
-    cache and the only array as long as xs is the result."""
+    cache and the only array as long as xs is the result.  Each multiply
+    runs out of place, into the other buffer, which then takes p's role:
+    numpy rounds an in-place complex multiply of a one-element array
+    through a scalar path that can differ from the array path in the last
+    bit, and a value must not depend on the length of the array it is
+    evaluated in (the engine tiles one period)."""
     a = {0: 0j}
     for k, c, s in coeffs:
         a[abs(k)] = a.get(abs(k), 0j) + complex(c, -s if k > 0 else s if k else 0.0)
     ks = sorted(a, reverse=True)
     out = np.empty_like(xs)
     pbuf = np.empty(min(xs.size, _HORNER_CHUNK), complex)
-    zbuf = np.empty_like(pbuf)
+    zbuf, tbuf = np.empty_like(pbuf), np.empty_like(pbuf)
     for i in range(0, xs.size, _HORNER_CHUNK):
         x = xs[i:i + _HORNER_CHUNK]
-        p, zg = pbuf[:x.size], zbuf[:x.size]
+        p, zg, t = pbuf[:x.size], zbuf[:x.size], tbuf[:x.size]
         p.fill(a[ks[0]])
         gap = 0
         for hi, lo in zip(ks, ks[1:]):
@@ -163,8 +173,9 @@ def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
                 np.multiply(x, 2.0 * np.pi * gap, out=zg.imag)
                 np.cos(zg.imag, out=zg.real)
                 np.sin(zg.imag, out=zg.imag)
-            p *= zg
-            p += a[lo]
+            np.multiply(p, zg, out=t)
+            t += a[lo]
+            p, t = t, p
         out[i:i + x.size] = p.real
     return out
 

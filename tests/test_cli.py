@@ -331,6 +331,55 @@ def test_main_refuses_an_unbounded_frequency(tmp_path, capsys):
         "observables[0]: frequency must be an integer in [-1048576, 1048576]") == 2
 
 
+def knots(*values):
+    return {"kind": "piecewise_linear",
+            "knots": [[i / len(values), v] for i, v in enumerate(values)]}
+
+
+@pytest.mark.parametrize("obs, message", [
+    # before the rule: run exited 1 with OverflowError in fsum, and
+    # predict said applicable with value Infinity
+    ([knots(1e308, 1e308)], "must be below 2**1023, got inf"),
+    # before: run exited 1 with "compensated sum: term must be finite"
+    ([knots(1e308, 1e308)] * 2, "must be below 2**1023, got inf"),
+    # before: run exited 1, a value between the first two knots was inf
+    ([{"kind": "piecewise_linear", "knots": [[0.0, 0.0], [1e-310, 1.0]]}],
+     "observables[0]: knot slopes must be finite"),
+])
+def test_main_refuses_overflowing_observables(tmp_path, capsys, obs, message):
+    doc = {"name": "big", "x0": 5e-311,
+           "family": [{"kind": "rotation", "alpha": {"surd": {"m": m}}}
+                      for m in (2, 3)[:len(obs)]],
+           "observables": obs, "schedule": {"n_max": 1000}, "tolerance": 0.01}
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 2
+    assert main(["predict", str(p)]) == 2
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "big.trace.csv").exists()
+
+
+@pytest.mark.parametrize("obs", [
+    [knots(2.0 ** 1013, 2.0 ** 1013)],
+    [knots(2.0 ** 506, -2.0 ** 506), knots(2.0 ** 507, 2.0 ** 507)]])
+def test_main_runs_observables_just_below_the_overflow_rule(tmp_path, obs):
+    # n_max * prod max|f_i| = 1000 * 2**1013 < 2**1023; at n_max = 1024 it
+    # reaches 2**1023
+    doc = {"name": "edge",
+           "family": [{"kind": "rotation", "alpha": {"surd": {"m": m}}}
+                      for m in (2, 3)[:len(obs)]],
+           "observables": obs, "schedule": {"n_max": 1000}, "tolerance": 1e308}
+    sc = parse_scenario(json.dumps(doc))
+    assert run_scenario(sc, tmp_path) == 0
+    report = _strict_json((tmp_path / "edge.report.json").read_text())
+    assert report["prediction"]["applicable"] is True
+    assert math.isfinite(report["prediction"]["value"])
+    assert math.isfinite(report["measured"])
+    doc["schedule"] = {"n_max": 1024}
+    with pytest.raises(ScenarioError, match="below 2"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_main_predict_inapplicable_prints_null(tmp_path, capsys):
     p = tmp_path / "sc.json"
     p.write_text(INAPPLICABLE)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.dynsys import (build_family, finite_rotation, rotation,
-                             rotation_power)
+from torusavg.dynsys import (build_family, effective_rotation,
+                             finite_rotation, rotation, rotation_power)
 from torusavg.engine import (MAX_N, ArcJob, AverageTrace, DiagonalJob,
-                             Schedule, _block_plan, _orbit_block,
+                             Schedule, _block_plan, _orbit_block, _period,
                              birkhoff_average, correlation_average,
                              multiple_average, run_job,
                              triple_intersection_average)
-from torusavg.observables import (constant, evaluate, frac_part, indicator,
+from torusavg.observables import (constant, evaluate, evaluate_array,
+                                  frac_part, indicator, piecewise_linear,
                                   power_of_frac, product, trig_poly,
                                   value_bounds)
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
@@ -390,6 +391,58 @@ def test_rational_points_match_index_formula(c):
         ref = rational_index_formula(
             x0, c, np.arange(n0, n0 + length, dtype=np.int64))
         assert got.tobytes() == ref.tobytes(), (x0, n0, length)
+
+
+def untiled_terms(job, n0, n1):
+    """The terms with every point of every member evaluated: the product of
+    evaluate_array over the full orbit block, in member order."""
+    out = None
+    for c, f in zip(job.constants, job.observables):
+        vals = evaluate_array(f, orbit_block(job.x0, c, n0, n1))
+        out = vals if out is None else out * vals
+    return out
+
+
+TILED_OBSERVABLES = {
+    "trig_poly": trig_poly([(0, 0.25, 0.0), (1, 0.8, -0.6), (-3, 0.5, 0.125)]),
+    "indicator": indicator(0.2, 0.7),
+    "power_of_frac": power_of_frac(3),
+    "piecewise_linear": piecewise_linear([(0.0, 1.0), (0.3, -2.0), (0.8, 0.5)]),
+}
+TILED_CONSTANTS = [
+    (1, ScalarConstant.rational(3, 1)),
+    (1, effective_rotation(rotation_power(ScalarConstant.rational(1, 2), 2))),
+    (2, ScalarConstant.rational(1, 2)),
+    (7, ScalarConstant.rational(-3, 7)),
+    (12, ScalarConstant.rational(5, 12)),
+    (65536, ScalarConstant.rational(12345, 65536)),
+    (65537, ScalarConstant.rational(30000, 65537)),
+    (1000003, ScalarConstant.rational(777777, 1000003)),
+]
+
+
+@pytest.mark.parametrize("q, c", TILED_CONSTANTS)
+@pytest.mark.parametrize("kind", sorted(TILED_OBSERVABLES))
+def test_tiled_terms_match_untiled_terms(q, c, kind):
+    assert _period(c) == q
+    f = TILED_OBSERVABLES[kind]
+    # blocks shorter than, as long as and longer than one period, from an
+    # n0 that is not a multiple of it; short periods from several x0, as
+    # a one-point period is all one orbit point
+    lengths = {max(min(q - 1, 65536), 1), q, q + 5, 65536}
+    n0s = (5 * q + 3,) if q > 65536 else (5 * q + 3, 2 ** 40 + 1)
+    x0s = [0.123456789]
+    if q < 65536:
+        lengths.add(3 * q + 2)
+        x0s += list(np.random.default_rng(q).random(6))
+    for x0, n0, n in iproduct(map(UnitPoint.from_real, x0s), n0s, sorted(lengths)):
+        for job in (DiagonalJob((c,), (f,), x0, Schedule((1,))),
+                    DiagonalJob((SQRT2, c), (trig_poly([(2, 1.0, 0.5)]), f),
+                                x0, Schedule((1,))),
+                    DiagonalJob((c, SQRT3), (f, frac_part()), x0,
+                                Schedule((1,)))):
+            got = job.terms(n0, n0 + n)
+            assert got.tobytes() == untiled_terms(job, n0, n0 + n).tobytes(), (n0, n)
 
 
 def former_arc_terms(job, n0, n1):

@@ -43,6 +43,8 @@ def test_piecewise_linear_wraps():
     assert evaluate(f, 0.75) == 2.0  # interpolates back toward the 0-knot value
     assert evaluate(f, 0.0) == 1.0
     assert f.exact_integral == pytest.approx(2.0, abs=1e-15)
+    # the knot values are halved before they are added
+    assert piecewise_linear([(0.0, 1e308), (0.5, 1.5e308)]).exact_integral == 1.25e308
 
 
 def test_product_evaluation():
@@ -63,6 +65,11 @@ def test_constructor_domain_errors():
         piecewise_linear([(0.1, 1.0)])
     with pytest.raises(ValueError):
         piecewise_linear([(0.0, 1.0), (0.5, 2.0), (0.3, 0.0)])
+    for knots in ([(0.0, 0.0), (1e-310, 1.0)],
+                  [(0.0, 1.7e308), (0.5, -1.7e308)],
+                  [(0.0, 0.0), (1.0 - 2 ** -53, 1e308)]):
+        with pytest.raises(ValueError, match="slopes"):
+            piecewise_linear(knots)
     for k in (MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1, 10 ** 400):
         with pytest.raises(ValueError):
             trig_poly([(k, 1.0, 0.0)])
@@ -78,6 +85,37 @@ def test_evaluate_array_matches_scalar():
         arr = evaluate_array(f, xs)
         for x, v in zip(xs, arr):
             assert evaluate(f, float(x)) == pytest.approx(v, abs=1e-15)
+
+
+LENGTH_KINDS = {
+    "frac_part": frac_part(),
+    "power_of_frac": power_of_frac(3),
+    "power_of_frac-2": power_of_frac(2),
+    "indicator": indicator(0.3, 0.7),
+    "trig_poly": trig_poly([(0, 0.5, 0.0), (1, 0.8, -0.6), (2, 1.0, -0.5),
+                            (-5, 0.25, 0.125)]),
+    "trig_poly-single": trig_poly([(1, 1.0, 0.0)]),
+    "piecewise_linear": piecewise_linear([(0.0, 0.0), (0.25, 1.0), (0.75, -1.0)]),
+    "product": product(trig_poly([(3, 0.5, 0.5)]), piecewise_linear(
+        [(0.0, 2.0), (0.5, -1.0)]), power_of_frac(2), indicator(0.1, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_KINDS))
+def test_evaluation_does_not_depend_on_array_length(name):
+    # the engine evaluates one period of a rational member and tiles the
+    # values, so a value must not depend on where or in how long an array
+    # it is computed
+    f = LENGTH_KINDS[name]
+    xs = np.random.default_rng(11).random(8191 + 8193)
+    xs[:4] = (0.0, 0.25, 0.5, 0.75)
+    full = evaluate_array(f, xs)
+    for off in (0, 1, 8191):
+        for n in [*range(1, 18), 8191, 8192, 8193]:
+            part = evaluate_array(f, xs[off:off + n])
+            assert part.tobytes() == full[off:off + n].tobytes(), (off, n)
+    for x, v in zip(xs[:64], full[:64]):
+        assert np.float64(evaluate(f, float(x))).tobytes() == v.tobytes()
 
 
 _rng = random.Random(8)

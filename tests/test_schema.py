@@ -195,9 +195,19 @@ def _number(v):
 def _breaks_cross_field_rule(doc) -> bool:
     """Indicator a < b; an average job has as many observables as
     transforms; checkpoints strictly increase; knots strictly increase from
-    position 0."""
+    position 0, with finite slopes.  The rule on n_max times the factors'
+    largest values is never broken here, as every drawn value is within
+    2 of 0."""
     def increasing(xs):
         return all(map(_number, xs)) and all(a < b for a, b in zip(xs, xs[1:]))
+
+    def steep(kts):
+        if (not all(len(k) == 2 and all(map(_number, k)) for k in kts)
+                or kts[-1][0] >= 1):
+            return False
+        xs, vs = zip(*kts, (1.0, kts[0][1]))
+        return not all(math.isfinite((float(v1) - v0) / (float(x1) - x0))
+                       for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]))
 
     for r in filter(lambda n: isinstance(n, dict), _nodes(doc)):
         a, b, kts, cps = (r.get(k) for k in ("a", "b", "knots", "checkpoints"))
@@ -206,7 +216,7 @@ def _breaks_cross_field_rule(doc) -> bool:
         if (r.get("kind") == "piecewise_linear" and isinstance(kts, list)
                 and all(isinstance(k, list) and k for k in kts)):
             pos = [k[0] for k in kts]
-            if not (pos and pos[0] == 0 and increasing(pos)):
+            if not (pos and pos[0] == 0 and increasing(pos)) or steep(kts):
                 return True
         if isinstance(cps, list) and all(map(_number, cps)) and not increasing(cps):
             return True
