@@ -3,6 +3,18 @@
 Scalar functions work on (hi, lo) pairs of Python floats.  The ``v_``
 prefixed variants are numpy-vectorized: ``v_two_sum`` is error-free, and
 ``v_sum`` and ``v_sum_rows`` are exactly rounded sums.
+
+``v_sum`` certifies most sums after one ExtractVector pass.  With
+sigma = 2**(e+m) above 2**m * max|a|, the split a = q + r,
+q = (a + sigma) - sigma, is exact; the q sum exactly in any order, and
+each |r| <= 2**(e+m-53), so the float sum of the r is within
+delta = 2**(e+3m-105) of their exact sum (the gamma_{n-1} bound).  The
+rounded total y of the two sums is the correctly rounded sum when its
+rounding error plus delta is below half the gap from y to its nearer
+neighbour: half an ulp, or a quarter ulp at a power of two.  A delta that
+underflows to 0 is still a bound, as a sum of multiples of 2**-1074 whose
+error is below 2**-1074 is exact.  Sums near a rounding midpoint take
+further passes.
 """
 
 import math
@@ -118,31 +130,70 @@ def v_two_sum(a, b):
 
 
 _SUM_PASSES = 4
-# below this length fsum over a list beats the passes' fixed numpy cost
-_SUM_MIN_VECTOR = 512
+# below this length fsum over a list beats the vector sum's fixed numpy cost
+_SUM_MIN_VECTOR = 320
 
 
 def v_sum(a) -> float:
     """Exactly rounded sum of a float64 vector: ``math.fsum(a.tolist())``,
     bit for bit, from element-wise IEEE operations.
 
-    Each pass splits r = q + r' exactly with q = (sigma + r) - sigma, where
-    sigma = 2**(e+m), 2**e > max|r| and 2**m >= len(r) + 2 (ExtractVector of
-    Rump, Ogita and Oishi, "Accurate floating-point summation, Part I",
-    SIAM J. Sci. Comput. 31(1), 2008).  The q are multiples of
-    2**(e+m-53) below 2**e, so numpy sums them exactly in any order.  The
-    pass sums and the residues left after the last pass go to fsum.
-    Short vectors, non-finite input and input near the overflow threshold
-    go to fsum directly, which keeps its NaN/inf results and exceptions.
+    One ExtractVector pass (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008) splits a = q + r
+    exactly with q = (a + sigma) - sigma, sigma = 2**(e+m), 2**e > max|a|
+    and 2**m >= n + 2 for n = len(a):
+
+    - the q are multiples of 2**(e+m-53) with |q| <= 2**e, so every partial
+      sum is below 2**(e+m) and s = sum(q) is exact in any order;
+    - each |r| <= 2**(e+m-53), half an ulp of sigma;
+    - t = fl(sum(r)) is within gamma_{n-1} * sum|r| of sum(r) in any
+      summation order (Higham, "Accuracy and Stability of Numerical
+      Algorithms", 2002, section 4.2); gamma_{n-1} < 2(n-1) * 2**-53 and
+      (n-1) * n < 2**(2m), so that is below delta = 2**(e+3m-105).
+
+    Then (y, err) = two_sum(s, t) has y + err = s + t exactly, and the
+    true sum lies within |err| + delta of y.  When that is strictly below
+    half the gap from y to its nearer neighbour, y is the correctly rounded
+    sum, which fsum returns.  The nearer neighbour lies toward 0: half an
+    ulp(y) away, or a quarter ulp when |y| is a power of two.  The test is
+    made as 2*(|err| + delta) < gap in floats: doubling is exact and
+    rounding is monotone, so it never passes where the exact test fails.
+    A delta that underflows to 0 is still a bound: the r and fl(sum(r))
+    are multiples of 2**-1074, so an error below 2**-1074 is 0.
+
+    Otherwise (the sum lies near a rounding midpoint, or is 0) the passes
+    go on from the residues r (``_sum_passes``).  Short vectors,
+    non-finite input and input near the overflow threshold go to fsum
+    directly, which keeps its NaN/inf results and exceptions.
     """
-    if len(a) < _SUM_MIN_VECTOR:
+    n = len(a)
+    if n < _SUM_MIN_VECTOR:
         return math.fsum(a.tolist())
-    m = (len(a) + 1).bit_length()
-    q = np.abs(a)
-    big = float(q.max())
-    if not math.isfinite(big) or big == 0.0 or math.frexp(big)[1] + m > 1023:
+    m = (n + 1).bit_length()
+    # the ufunc reductions skip the array methods' wrappers: a fixed cost
+    # that matters for short vectors
+    big = max(float(np.maximum.reduce(a)), -float(np.minimum.reduce(a)))
+    e = math.frexp(big)[1]
+    if not math.isfinite(big) or big == 0.0 or e + m > 1023:
         return math.fsum(a.tolist())
-    r, sums = a.copy(), []
+    sigma = math.ldexp(1.0, e + m)
+    r = np.add(a, sigma)
+    r -= sigma
+    s = float(np.add.reduce(r))
+    np.subtract(a, r, out=r)
+    y, err = two_sum(s, float(np.add.reduce(r)))
+    delta = math.ldexp(1.0, e + 3 * m - 105)
+    if 2.0 * (abs(err) + delta) < abs(y - math.nextafter(y, 0.0)):
+        return y
+    return _sum_passes(s, r)
+
+
+def _sum_passes(s: float, r) -> float:
+    """fsum of s and the vector r, exactly: further ExtractVector passes
+    over r, in place, as in ``v_sum``; the pass sums and the residues left
+    after the last pass go to fsum."""
+    m, q, sums = (len(r) + 1).bit_length(), np.empty_like(r), [s]
+    big = float(np.abs(r, out=q).max())
     while big and len(sums) < _SUM_PASSES:
         sigma = math.ldexp(1.0, math.frexp(big)[1] + m)
         np.add(r, sigma, out=q)

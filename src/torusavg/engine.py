@@ -9,10 +9,12 @@ at one period of points and the values are tiled.  That gives the terms
 bit for bit, as no value depends on the length of the array it is
 computed in; for this, trig_poly runs each Horner multiply out of place,
 since numpy rounds an in-place complex multiply of a one-element array
-through a scalar path.  Block sums are exactly rounded by an error-free
-vectorised sum (``_dd.v_sum``, equal to math.fsum bit for bit) and merged
-through a Neumaier accumulator in block order, in one thread, so traces
-are bitwise reproducible.
+through a scalar path.  Block sums are exactly rounded (``_dd.v_sum``,
+equal to math.fsum bit for bit): one ExtractVector pass and a bound on its
+rounding error certify almost every block, and only sums near a rounding
+midpoint take further passes.  They are merged through a Neumaier
+accumulator in block order, in one thread, so traces are bitwise
+reproducible.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Trace CSV bytes pinned by sha256.
 
-Faster evaluation must not change what a run writes: these digests were
-taken before the rational members were evaluated once per period and
-tiled, and each must stay as it is.  A pinned digest may change only in a
-change that states why its trace bytes changed.
+Faster evaluation and summation must not change what a run writes: these
+digests were taken before the rational members were evaluated once per
+period and tiled, and (for the cancelling families) before block sums were
+certified after one ExtractVector pass; each must stay as it is.  A pinned
+digest may change only in a change that states why its trace bytes changed.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ from importlib import resources
 
 import pytest
 
+from torusavg import _dd
 from torusavg.cli import parse_scenario, run_scenario
 
 N_MAX = 10 ** 5
@@ -49,6 +51,30 @@ RATIONAL = {
         "periodic": {"g": TRIG, "k": 12}, "x0": 0.9},
 }
 
+# mean-zero trig_poly members on surd rotations: block sums cancel to O(1),
+# so the sum of the 65,535-term block lies too near a rounding midpoint to
+# certify and takes ``_dd._sum_passes``, while the later blocks certify
+CANCELLING = {
+    "cancel-sqrt2": {
+        "family": [rotation({"surd": {"m": 2}})],
+        "observables": [{"kind": "trig_poly",
+                         "coeffs": [[1, 1.0, 0.5], [3, -0.25, 0.75]]}],
+        "x0": 0.2},
+    "cancel-sqrt3-sqrt5": {
+        "family": [rotation({"surd": {"m": 3}}),
+                   rotation({"surd": {"a": "1/7", "b": -1, "m": 5}})],
+        "observables": [{"kind": "trig_poly", "coeffs": [[1, 0.5, -1.0]]},
+                        {"kind": "trig_poly",
+                         "coeffs": [[2, 1.0, 0.0], [-1, 0.0, 0.5]]}],
+        "x0": 0.7},
+    "cancel-power-sqrt7": {
+        "family": [{"kind": "rotation_power", "alpha": {"surd": {"m": 7}},
+                    "p": 3}],
+        "observables": [{"kind": "trig_poly",
+                         "coeffs": [[2, 0.75, -0.5], [5, 0.125, 0.25]]}],
+        "x0": 0.41},
+}
+
 PINNED = {
     "birkhoff-frac-part":
         "dcef95463c2528b402bf182b170460a144031d7dd106c4a24b36245d9808af30",
@@ -70,10 +96,21 @@ PINNED = {
         "74ebc39a48578eb8655f40757618e96047072b2d6eaec1f85c67a5580cf7cc65",
     "period-12":
         "f871fbf1e26182121c3e26e3a32fa5b3db57b76f1c51a97a3ba9f780338695e7",
+    "cancel-sqrt2":
+        "5d74e5938594772282acd4f1ee9f23555c29c30b6ce8629ff74382de94466a56",
+    "cancel-sqrt3-sqrt5":
+        "1aa6df0c183405bcdd1cb74a0073d309a5db8a68eba733c3440969be2d6f48a7",
+    "cancel-power-sqrt7":
+        "d3e7b4666f2176b6e8f5849595a9b96ee15fc39cb9ebb739a67b71d5a8bddf6a",
 }
 
 
 def scenario_doc(name):
+    if name in CANCELLING:
+        # a first checkpoint at 1 leaves one 65,535-term block, the length
+        # whose error bound is largest against an O(1) sum
+        return dict(CANCELLING[name], name=name, tolerance=1.0,
+                    schedule={"checkpoints": [1, 65536, 75000, N_MAX]})
     if name in RATIONAL:
         doc = dict(RATIONAL[name], name=name, tolerance=1.0)
     else:
@@ -86,3 +123,23 @@ def test_trace_bytes_are_pinned(tmp_path, name):
     run_scenario(parse_scenario(json.dumps(scenario_doc(name))), tmp_path)
     data = (tmp_path / f"{name}.trace.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLING))
+def test_cancelling_families_take_both_block_sum_paths(tmp_path, monkeypatch,
+                                                       name):
+    blocks, fallbacks = [], []
+    v_sum, passes = _dd.v_sum, _dd._sum_passes
+
+    def counted_v_sum(a):
+        blocks.append(len(a) >= _dd._SUM_MIN_VECTOR)
+        return v_sum(a)
+
+    def counted_passes(s, r):
+        fallbacks.append(len(r))
+        return passes(s, r)
+
+    monkeypatch.setattr(_dd, "v_sum", counted_v_sum)
+    monkeypatch.setattr(_dd, "_sum_passes", counted_passes)
+    run_scenario(parse_scenario(json.dumps(scenario_doc(name))), tmp_path)
+    assert 0 < len(fallbacks) < sum(blocks)
