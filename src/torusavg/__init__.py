@@ -19,9 +19,9 @@ from .dynsys import (TransformFamily, TransformSpec, build_family,
 from .engine import (AverageTrace, Schedule, birkhoff_average,
                      correlation_average, multiple_average, run_job,
                      triple_intersection_average)
-from .observables import (Observable, QuadratureSpec, constant, evaluate,
-                          frac_part, indicator, integrate, piecewise_linear,
-                          power_of_frac, product, trig_poly)
+from .observables import (Observable, QuadratureSpec, frac_part, indicator,
+                          integrate, piecewise_linear, power_of_frac, product,
+                          trig_poly)
 from .oracle import (ComparisonReport, Prediction, compare, predict,
                      predict_intersection)
 from .unitmath import (CompensatedSum, ScalarConstant, UnitPoint, frac,

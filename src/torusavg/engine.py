@@ -3,25 +3,27 @@
 Orbits are evaluated blockwise: each block starts from the exact base
 {x0 + n0*alpha} (product reduction with Python-int step counts, never
 iterated additions) and adds j*alpha for the local step j, split so that
-the large part is exact in float64.  A rational member repeats with its
-period q, so when q is shorter than the block its observable is evaluated
-at one period of points and the values are tiled.  That gives the terms
-bit for bit, as no value depends on the length of the array it is
-computed in; for this, trig_poly runs each Horner multiply out of place,
-since numpy rounds an in-place complex multiply of a one-element array
-through a scalar path.  Block sums are exactly rounded (``_dd.v_sum``,
-equal to math.fsum bit for bit): one ExtractVector pass and a bound on its
-rounding error certify almost every block, and only sums near a rounding
-midpoint take further passes.  They are merged through a Neumaier
-accumulator in block order, in one thread, so traces are bitwise
-reproducible.
+the large part is exact in float64; one sign test wraps the points into
+[0, 1).  Each job plans its members once.  A rational member repeats with
+its period q, so when q is below DEFAULT_CHUNK its observable is evaluated
+at one period of points per job, and each block copies those values,
+rotated to its first step, and tiles them.  That gives the terms bit for
+bit, as no value depends on the length of the array it is computed in; for
+this, trig_poly runs each Horner multiply out of place, since numpy rounds
+an in-place complex multiply of a one-element array through a scalar path.
+Members with equal constants share one orbit per block.  Block sums are
+exactly rounded (``_dd.v_sum``, equal to math.fsum bit for bit): one
+ExtractVector pass and a bound on its rounding error certify almost every
+block, and only sums near a rounding midpoint take further passes.  They
+are merged through a Neumaier accumulator in block order, in one thread, so
+traces are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -135,8 +137,8 @@ def rational_points(x0: UnitPoint, fr, n0: int, out):
     """{x0 + n*fr} for a Fraction fr, from the exact residue n*p mod q of
     fr mod 1 = p/q, written to out; p*q must be below 2**62, so the residues
     stay exact in int64.  The points repeat with period q, so one period is
-    computed and tiled; ``DiagonalJob.terms`` asks for one period only and
-    tiles the observable's values instead."""
+    computed and tiled; a ``DiagonalJob`` asks for one period from n = 0
+    once, and tiles the observable's values instead."""
     fr %= 1
     p, q = fr.numerator, fr.denominator
     m = min(q, len(out))
@@ -159,11 +161,16 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
     step are split on the grid 2**-k, k = 52 - bit_length(L - 1): the grid
     parts sum exactly in float64, as base + j*step stays below 2**(53-k),
     and so does their fractional part.  The remainders, both <= 0, give a
-    correction below 2**(52-2k) that is added last: one rounding, never up
-    to 1.0.
+    correction above -2**(52-2k) that is added last, in one rounding.  The
+    grid part lies in [0, 1) and the correction is <= 0, so a point lies in
+    (-2**(52-2k), 1) and never rounds up to 1.0 from below.  One sign test
+    then wraps it: only a negative point needs +1, and one that rounds up
+    to 1.0 doing so lies on the circle at 0.0.  These are the bits of two
+    floor-and-subtract rounds (``_wrap``), from one pass that only reads,
+    and more passes only when some point is negative.
 
-    The points go to ws[0], and ws[1] is scratch, for a (2, n1 - n0)
-    buffer ws.
+    The points go to ws[0], and ws[1] is scratch, for two rows ws of
+    n1 - n0 floats.
     """
     out, t = ws
     if _period(const) is not None:
@@ -183,7 +190,10 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
         np.multiply(j, al, out=tt)
         tt += bl
         o += tt
-        _wrap(o, tt)
+        if o.min() < 0.0:
+            neg = o < 0.0
+            o[neg] += 1.0
+            o[o == 1.0] = 0.0
     return out
 
 
@@ -196,28 +206,59 @@ class DiagonalJob:
     x0: UnitPoint
     schedule: Schedule
 
-    def terms(self, n0: int, n1: int) -> np.ndarray:
-        """The terms for n0 <= n < n1.  A member of period q shorter than
-        the block is evaluated at its first q points only, and the q values
-        are tiled.  Its values repeat as its points do, and no value
-        depends on the length of the array it is evaluated in (each
-        Horner multiply of a trig_poly runs out of place for this), so the
-        terms are the bits that evaluating every point gives."""
-        # one buffer per block: member i's points, then its values, in row
-        # i, scratch in row i+1
-        ws = np.empty((len(self.constants) + 1, n1 - n0))
-        out = None
+    @cached_property
+    def _plan(self):
+        """Per member (observable, constant, row, tile), and a later member
+        that reads member 0's points, or None.  A member whose period q is
+        below DEFAULT_CHUNK has as tile its values at n = 0 .. 2q - 1, and
+        row None.  Any other member reads its points from ws[row], row being
+        the first member with its constant, which computes them."""
+        first, plan = {}, []
         for i, (c, f) in enumerate(zip(self.constants, self.observables)):
-            m = min(_period(c) or n1 - n0, n1 - n0)
-            vals = evaluate_array(f, _orbit_block(self.x0, c, n0, n0 + m,
-                                                  ws[i:i + 2, :m]))
-            if m < n1 - n0:
-                ws[i, :m] = vals
-                vals = _tile(ws[i], m)
-            if out is None:
-                out = vals
+            q = _period(c)
+            if q is not None and q < DEFAULT_CHUNK:
+                v = evaluate_array(f, rational_points(self.x0, c.a, 0, np.empty(q)))
+                plan.append((f, c, None, np.concatenate((v, v))))
             else:
-                out *= vals
+                plan.append((f, c, first.setdefault(c, i), None))
+        spare = next((i for i, p in enumerate(plan[1:], 1) if p[2] == 0), None)
+        return tuple(plan), spare
+
+    def terms(self, n0: int, n1: int) -> np.ndarray:
+        """The terms for n0 <= n < n1, from the plan the job makes once.
+
+        A member of period q below DEFAULT_CHUNK is evaluated at one period
+        of points per job.  A block copies those values, rotated to start at
+        n0 mod q, and tiles them.  Its values repeat as its points do, and
+        no value depends on the length of the array it is evaluated in (each
+        Horner multiply of a trig_poly runs out of place for this), so the
+        terms are the bits that evaluating every point gives.  The plan
+        holds 2q values of such a member.  Members with equal constants
+        share one ``_orbit_block`` call per block.  The product runs in
+        member order, as the rounding of a product depends on it."""
+        # one buffer per block: member i's points or tiled values in row i,
+        # orbit scratch in the last row
+        plan, spare = self._plan
+        ws = np.empty((len(plan) + 1, n1 - n0))
+        out = None
+        for i, (f, c, row, tile) in enumerate(plan):
+            if tile is None:
+                if row == i:
+                    _orbit_block(self.x0, c, n0, n1, (ws[i], ws[-1]))
+                v = evaluate_array(f, ws[row])
+            else:
+                q = len(tile) // 2
+                m = min(q, n1 - n0)
+                ws[i, :m] = tile[n0 % q:n0 % q + m]
+                v = _tile(ws[i], m)
+            if out is None:
+                out = v
+            elif i == 1 and spare:
+                # member 0's values may be its points (frac_part), which
+                # member spare reads later: the product takes its free row
+                out = np.multiply(out, v, out=ws[spare])
+            else:
+                out *= v
         return out
 
 
@@ -276,15 +317,21 @@ class ArcJob:
     fixed: tuple[tuple[float, float], ...]
     schedule: Schedule
 
+    @cached_property
+    def _moving(self):
+        """Each moving arc's start point, pulled-back constant and length."""
+        return tuple((UnitPoint.from_real(a), alpha.neg(), length)
+                     for alpha, a, length in self.moving)
+
     def terms(self, n0: int, n1: int) -> np.ndarray:
         # one buffer per block: rows 3i..3i+2 hold moving arc i's start, end
         # and end - 1 (the end row is the orbit scratch first); 3 more rows
         # are for the sum
         ws = np.empty((3 * len(self.moving) + 3, n1 - n0))
         arcs = []
-        for i, (alpha, a, length) in enumerate(self.moving):
+        for i, (x0, alpha, length) in enumerate(self._moving):
             start, end, end1 = ws[3 * i:3 * i + 3]
-            _orbit_block(UnitPoint.from_real(a), alpha.neg(), n0, n1, ws[3 * i:3 * i + 2])
+            _orbit_block(x0, alpha, n0, n1, ws[3 * i:3 * i + 2])
             np.add(start, length, out=end)
             np.subtract(end, 1.0, out=end1)
             arcs.append((([start], 0.0, [end], 1.0), ([], 0.0, [end1], 1.0)))

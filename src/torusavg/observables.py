@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import _dd
-from .unitmath import UnitPoint
 
 # factors of a product: a scenario's 8 members and its periodic factor
 MAX_PRODUCT_FACTORS = 9
@@ -76,10 +75,6 @@ def trig_poly(coeffs) -> Observable:
                          f"[-{MAX_FREQUENCY}, {MAX_FREQUENCY}]")
     const = sum(c for k, c, s in coeffs if k == 0)
     return Observable("trig_poly", params=coeffs, exact_integral=const)
-
-
-def constant(c: float) -> Observable:
-    return trig_poly([(0, c, 0.0)])
 
 
 def piecewise_linear(knots) -> Observable:
@@ -178,12 +173,6 @@ def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
             p, t = t, p
         out[i:i + x.size] = p.real
     return out
-
-
-def evaluate(f: Observable, x) -> float:
-    """Pointwise value at x (UnitPoint or float in [0, 1))."""
-    v = x.value if isinstance(x, UnitPoint) else float(x)
-    return float(evaluate_array(f, np.array([v]))[0])
 
 
 def value_bounds(f: Observable):

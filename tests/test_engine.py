@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import product as iproduct
 
 import mpmath
@@ -9,15 +11,15 @@ from hypothesis import strategies as st
 
 from torusavg.dynsys import (build_family, effective_rotation,
                              finite_rotation, rotation, rotation_power)
-from torusavg.engine import (MAX_N, ArcJob, AverageTrace, DiagonalJob,
-                             Schedule, _block_plan, _orbit_block, _period,
-                             birkhoff_average, correlation_average,
-                             multiple_average, run_job,
+from torusavg import _dd, engine
+from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
+                             DiagonalJob, Schedule, _block_plan, _grid_split,
+                             _orbit_block, _period, _wrap, birkhoff_average,
+                             correlation_average, multiple_average, run_job,
                              triple_intersection_average)
-from torusavg.observables import (constant, evaluate, evaluate_array,
-                                  frac_part, indicator, piecewise_linear,
-                                  power_of_frac, product, trig_poly,
-                                  value_bounds)
+from torusavg.observables import (evaluate_array, frac_part, indicator,
+                                  piecewise_linear, power_of_frac, product,
+                                  trig_poly, value_bounds)
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
                                frac, orbit_point)
 
@@ -35,12 +37,17 @@ def naive_orbit(x0, alpha_float, n):
     return frac(x0 + n * alpha_float)
 
 
+def value_at(f, x):
+    """f at the one point x, through evaluate_array."""
+    return float(evaluate_array(f, np.array([x]))[0])
+
+
 def naive_average(x0, alphas, fs, n_max):
     total = 0.0
     for n in range(n_max):
         term = 1.0
         for a, f in zip(alphas, fs):
-            term *= evaluate(f, naive_orbit(x0, a, n))
+            term *= value_at(f, naive_orbit(x0, a, n))
         total += term
     return total / n_max
 
@@ -132,15 +139,15 @@ def test_periodic_factor_average_matches_naive():
     tr = multiple_average(fam, [frac_part(), g], 0.2, sch)
     total = 0.0
     for n in range(250):
-        total += (evaluate(frac_part(), naive_orbit(0.2, math.sqrt(2), n))
-                  * evaluate(g, naive_orbit(0.2, 1 / 3, n)))
+        total += (value_at(frac_part(), naive_orbit(0.2, math.sqrt(2), n))
+                  * value_at(g, naive_orbit(0.2, 1 / 3, n)))
     assert tr.final == pytest.approx(total / 250, abs=1e-12)
 
 
 def test_periodic_factor_constant_g_degenerates():
     fam = build_family([rotation(SQRT2), finite_rotation(4)])
     sch = Schedule((10, 400))
-    a = multiple_average(fam, [frac_part(), constant(1.0)], 0.3, sch)
+    a = multiple_average(fam, [frac_part(), trig_poly([(0, 1.0, 0.0)])], 0.3, sch)
     b = birkhoff_average(rotation(SQRT2), frac_part(), 0.3, sch)
     assert a.values == pytest.approx(b.values, abs=1e-14)
 
@@ -285,6 +292,21 @@ ORBIT_LENGTHS = (1, 17, 2 ** 16)
 FIXED_BITS = 160
 
 
+def floor_wrapped_orbit_block(x0, c, n0, n1):
+    """The irrational path of _orbit_block with the points wrapped by two
+    floor-and-subtract rounds (``_wrap``) in place of the sign test: the
+    points before the wrap, and after it."""
+    k = 52 - (n1 - n0 - 1).bit_length()
+    base = orbit_point(x0, c, n0)
+    bh, bl = _grid_split((base.value, base.comp), k)
+    ah, al = _grid_split(_dd.dd_frac(c.dd()), k)
+    j = np.arange(n1 - n0, dtype=np.float64)
+    o = j * ah + bh
+    o -= np.floor(o)
+    o += j * al + bl
+    return o.copy(), _wrap(o, np.empty_like(o))
+
+
 def mp_value(c):
     """The constant in mpmath, from its exact rational and radicand parts."""
     def q(fr):
@@ -340,6 +362,10 @@ def test_orbit_block_matches_mpmath(c):
         assert np.all((pts >= 0.0) & (pts < 1.0))
         bound = 1.0 if n0 + length <= 2 ** 40 else 4.0
         assert max(mp_orbit_errors(x0, c, n0, pts)) <= bound, (x0, n0, length)
+        if _period(c) is None:
+            _, ref = floor_wrapped_orbit_block(UnitPoint.from_real(x0), c, n0,
+                                               n0 + length)
+            assert pts.tobytes() == ref.tobytes(), (x0, n0, length)
 
 
 def test_literal_tenth_orbit_is_correctly_rounded():
@@ -355,6 +381,37 @@ def test_orbit_block_wraps_just_below_zero(c):
     # x0 = -1e-30 rounds to 1.0, which lies on the circle at 0.0
     pts = orbit_block(UnitPoint(0.0, -1e-30), c, 0, 17)
     assert pts[0] == 0.0 and np.all((pts >= 0.0) & (pts < 1.0))
+
+
+HALF_LESS_1E20 = ScalarConstant.surd("1/2", "-1e-20", 2)
+HALF_LESS_1E16 = ScalarConstant.surd("1/2", "-1e-16", 2)
+
+
+@pytest.mark.parametrize("c, x0, n0, n, j, negative, lo, hi", [
+    # {j*alpha} is 1 - j*1.4e-20 for even j: a whole-number grid part and a
+    # negative correction, and the point + 1 rounds to 1.0, which is 0.0
+    (HALF_LESS_1E20, 0.0, 0, 17, 2, True, 0.0, 0.0),
+    # start points 1 - 1.4e-14 and 1 - 1e-12 on the grid part 1.0 (2**-36
+    # apart for 2**16 points) are negative until wrapped, and + 1 stays
+    # below 1.0; so does 1 - 2.8e-16 at j = 2
+    (HALF_LESS_1E20, 0.0, 10 ** 6, 2 ** 16, 0, True, 0.99, 1 - 2 ** -53),
+    (SQRT2, -1e-12, 0, 2 ** 16, 0, True, 0.99, 1 - 2 ** -53),
+    (HALF_LESS_1E16, 0.0, 0, 17, 2, True, 0.99, 1 - 2 ** -53),
+    # points exactly at +0.0: {0 * alpha}, and {10**16 * alpha} for the
+    # literal's exact rational 6180339887498949 / 10**16
+    (SQRT2, 0.0, 0, 17, 0, False, 0.0, 0.0),
+    (ScalarConstant.literal(0.6180339887498949), 0.0, 10 ** 16, 17, 0, False,
+     0.0, 0.0),
+])
+def test_orbit_block_sign_test_matches_floor_wrap(c, x0, n0, n, j, negative,
+                                                  lo, hi):
+    x0 = UnitPoint.from_real(x0)
+    pts = orbit_block(x0, c, n0, n0 + n)
+    before, ref = floor_wrapped_orbit_block(x0, c, n0, n0 + n)
+    assert pts.tobytes() == ref.tobytes()
+    assert (before[j] < 0.0) == negative
+    assert lo <= pts[j] <= hi and not np.signbit(pts[j])
+    assert np.all((pts >= 0.0) & (pts < 1.0))
 
 
 def former_v_frac(h, l):
@@ -435,14 +492,55 @@ def test_tiled_terms_match_untiled_terms(q, c, kind):
     if q < 65536:
         lengths.add(3 * q + 2)
         x0s += list(np.random.default_rng(q).random(6))
-    for x0, n0, n in iproduct(map(UnitPoint.from_real, x0s), n0s, sorted(lengths)):
-        for job in (DiagonalJob((c,), (f,), x0, Schedule((1,))),
-                    DiagonalJob((SQRT2, c), (trig_poly([(2, 1.0, 0.5)]), f),
-                                x0, Schedule((1,))),
-                    DiagonalJob((c, SQRT3), (f, frac_part()), x0,
-                                Schedule((1,)))):
-            got = job.terms(n0, n0 + n)
-            assert got.tobytes() == untiled_terms(job, n0, n0 + n).tobytes(), (n0, n)
+    for x0 in map(UnitPoint.from_real, x0s):
+        jobs = (DiagonalJob((c,), (f,), x0, Schedule((1,))),
+                DiagonalJob((SQRT2, c), (trig_poly([(2, 1.0, 0.5)]), f),
+                            x0, Schedule((1,))),
+                DiagonalJob((c, SQRT3), (f, frac_part()), x0, Schedule((1,))))
+        # one job object serves every block, out of order: the last n0
+        # first, and the longest block first
+        for n0, n in sorted(iproduct(n0s, lengths), reverse=True):
+            for job in jobs:
+                got = job.terms(n0, n0 + n)
+                assert got.tobytes() == untiled_terms(job, n0, n0 + n).tobytes(), (n0, n)
+
+
+def test_job_plans_members_once(monkeypatch):
+    # frac_part's values are its points, which member 4 reads again, so the
+    # product takes row 4 from member 1 on, while member 3 computes an orbit
+    job = DiagonalJob(
+        (SQRT2, ScalarConstant.rational(2, 5), ScalarConstant.rational(5, 12),
+         SQRT3, SQRT2),
+        (frac_part(), TILED_OBSERVABLES["trig_poly"],
+         TILED_OBSERVABLES["piecewise_linear"], indicator(0.1, 0.6),
+         power_of_frac(2)),
+        UnitPoint.from_real(0.3), Schedule.geometric(10 ** 6))
+    acc, ref = CompensatedSum(), []
+    blocks = eager_plan(job.schedule.checkpoints, DEFAULT_CHUNK)
+    for n0, n1 in blocks:
+        acc.add(math.fsum(untiled_terms(job, n0, n1).tolist()))
+        if n1 in job.schedule.checkpoints:
+            ref.append(acc.value() / n1)
+    rational, orbits = [], []
+    rational_points, orbit_block_ = engine.rational_points, engine._orbit_block
+
+    def counted_rational_points(x0, fr, n0, out):
+        rational.append(fr)
+        return rational_points(x0, fr, n0, out)
+
+    def counted_orbit_block(x0, c, n0, n1, ws):
+        orbits.append(c)
+        return orbit_block_(x0, c, n0, n1, ws)
+
+    monkeypatch.setattr(engine, "rational_points", counted_rational_points)
+    monkeypatch.setattr(engine, "_orbit_block", counted_orbit_block)
+    for _ in range(2):
+        assert list(run_job(job).values) == ref  # bitwise
+    # two runs: the rational members once per job, the orbits of the two
+    # surds once per block
+    assert sorted(rational) == [Fraction(2, 5), Fraction(5, 12)]
+    assert len(blocks) > 16
+    assert Counter(orbits) == {SQRT2: 2 * len(blocks), SQRT3: 2 * len(blocks)}
 
 
 def former_arc_terms(job, n0, n1):

@@ -10,8 +10,7 @@ import pytest
 
 from torusavg.observables import (MAX_FREQUENCY, MAX_PRODUCT_FACTORS, Observable,
                                   QuadratureBudgetError, QuadratureSpec,
-                                  constant, evaluate, evaluate_array,
-                                  frac_part, indicator, integrate,
+                                  evaluate_array, frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, product,
                                   trig_poly, value_bounds)
 from torusavg.unitmath import UnitPoint
@@ -21,27 +20,32 @@ from torusavg.unitmath import UnitPoint
 # pointwise evaluation
 
 
+def value_at(f, x):
+    """f at the one point x, through evaluate_array."""
+    return float(evaluate_array(f, np.array([x]))[0])
+
+
 def test_evaluate_basic():
-    assert evaluate(frac_part(), 0.3) == 0.3
-    assert evaluate(power_of_frac(2), 0.5) == 0.25
-    assert evaluate(trig_poly([(1, 1.0, 0.0)]), 0.25) == pytest.approx(0.0, abs=1e-15)
-    assert evaluate(constant(2.5), 0.9) == 2.5
-    assert evaluate(frac_part(), UnitPoint(0.7)) == 0.7
+    assert value_at(frac_part(), 0.3) == 0.3
+    assert value_at(power_of_frac(2), 0.5) == 0.25
+    assert value_at(trig_poly([(1, 1.0, 0.0)]), 0.25) == pytest.approx(0.0, abs=1e-15)
+    assert value_at(trig_poly([(0, 2.5, 0.0)]), 0.9) == 2.5
+    assert value_at(frac_part(), UnitPoint(0.7).value) == 0.7
 
 
 def test_indicator_half_open_convention():
     f = indicator(0.2, 0.6)
-    assert evaluate(f, 0.2) == 1.0  # left endpoint included
-    assert evaluate(f, 0.6) == 0.0  # right endpoint excluded
-    assert evaluate(f, 0.4) == 1.0
-    assert evaluate(f, 0.1) == 0.0
+    assert value_at(f, 0.2) == 1.0  # left endpoint included
+    assert value_at(f, 0.6) == 0.0  # right endpoint excluded
+    assert value_at(f, 0.4) == 1.0
+    assert value_at(f, 0.1) == 0.0
 
 
 def test_piecewise_linear_wraps():
     f = piecewise_linear([(0.0, 1.0), (0.5, 3.0)])
-    assert evaluate(f, 0.25) == 2.0
-    assert evaluate(f, 0.75) == 2.0  # interpolates back toward the 0-knot value
-    assert evaluate(f, 0.0) == 1.0
+    assert value_at(f, 0.25) == 2.0
+    assert value_at(f, 0.75) == 2.0  # interpolates back toward the 0-knot value
+    assert value_at(f, 0.0) == 1.0
     assert f.exact_integral == pytest.approx(2.0, abs=1e-15)
     # the knot values are halved before they are added
     assert piecewise_linear([(0.0, 1e308), (0.5, 1.5e308)]).exact_integral == 1.25e308
@@ -49,8 +53,8 @@ def test_piecewise_linear_wraps():
 
 def test_product_evaluation():
     f = product(indicator(0.0, 0.5), frac_part())
-    assert evaluate(f, 0.25) == 0.25
-    assert evaluate(f, 0.75) == 0.0
+    assert value_at(f, 0.25) == 0.25
+    assert value_at(f, 0.75) == 0.0
     assert f.breakpoints == (0.0, 0.5)
 
 
@@ -84,7 +88,7 @@ def test_evaluate_array_matches_scalar():
     for f in fs:
         arr = evaluate_array(f, xs)
         for x, v in zip(xs, arr):
-            assert evaluate(f, float(x)) == pytest.approx(v, abs=1e-15)
+            assert value_at(f, float(x)) == pytest.approx(v, abs=1e-15)
 
 
 LENGTH_KINDS = {
@@ -115,7 +119,7 @@ def test_evaluation_does_not_depend_on_array_length(name):
             part = evaluate_array(f, xs[off:off + n])
             assert part.tobytes() == full[off:off + n].tobytes(), (off, n)
     for x, v in zip(xs[:64], full[:64]):
-        assert np.float64(evaluate(f, float(x))).tobytes() == v.tobytes()
+        assert np.float64(value_at(f, float(x))).tobytes() == v.tobytes()
 
 
 _rng = random.Random(8)

@@ -9,9 +9,9 @@ from torusavg.dynsys import (WeylTerm, build_family, finite_rotation,
                              rotation, rotation_power)
 from torusavg.engine import Schedule, multiple_average
 from torusavg import oracle
-from torusavg.observables import (QuadratureSpec, constant, frac_part,
-                                  indicator, integrate, piecewise_linear,
-                                  power_of_frac, trig_poly)
+from torusavg.observables import (QuadratureSpec, frac_part, indicator,
+                                  integrate, piecewise_linear, power_of_frac,
+                                  trig_poly)
 from torusavg.observables import MAX_PRODUCT_FACTORS
 from torusavg.oracle import Factor, _shift_period, compare, predict
 from torusavg.unitmath import ScalarConstant
@@ -274,7 +274,7 @@ def test_predict_permutation_invariance():
 
 def test_predict_constant_absorption():
     fam = build_family([rotation(SQRT2), rotation(SQRT3)])
-    with_const = predict(fam, [frac_part(), constant(2.0)])
+    with_const = predict(fam, [frac_part(), trig_poly([(0, 2.0, 0.0)])])
     assert with_const.value == pytest.approx(1.0, abs=1e-13)
 
 

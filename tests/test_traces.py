@@ -2,8 +2,10 @@
 
 Faster evaluation and summation must not change what a run writes: these
 digests were taken before the rational members were evaluated once per
-period and tiled, and (for the cancelling families) before block sums were
-certified after one ExtractVector pass; each must stay as it is.  A pinned
+period and tiled, (for the cancelling families) before block sums were
+certified after one ExtractVector pass, and (for ``periods-5-12`` and
+``shared-sqrt2``) before each job planned its members once and shared the
+orbits of equal constants; each must stay as it is.  A pinned
 digest may change only in a change that states why its trace bytes changed.
 """
 
@@ -27,8 +29,9 @@ def rotation(alpha):
     return {"kind": "rotation", "alpha": alpha}
 
 
-# one rational member of each period beside surd members
-RATIONAL = {
+# rational members of several periods beside surd members, and members that
+# share a constant
+FAMILIES = {
     "period-1": {
         "family": [rotation({"rational": {"p": 3}}),
                    rotation({"surd": {"m": 2}})],
@@ -49,6 +52,22 @@ RATIONAL = {
         "observables": [{"kind": "piecewise_linear",
                          "knots": [[0.0, 1.0], [0.25, -2.0], [0.6, 0.5]]}],
         "periodic": {"g": TRIG, "k": 12}, "x0": 0.9},
+    "periods-5-12": {
+        "family": [rotation({"rational": {"p": 2, "q": 5}}),
+                   rotation({"surd": {"a": "1/5", "m": 3}}),
+                   {"kind": "finite_rotation", "q": 12}],
+        "observables": [{"kind": "indicator", "a": 0.1, "b": 0.6}, TRIG,
+                        {"kind": "power_of_frac", "p": 3}],
+        "x0": 0.61},
+    # members with one constant share an orbit; frac_part first, as its
+    # values are its points
+    "shared-sqrt2": {
+        "family": [rotation({"surd": {"m": 2}}), rotation({"surd": {"m": 3}}),
+                   rotation({"surd": {"m": 2}}), rotation({"surd": {"m": 2}})],
+        "observables": [{"kind": "frac_part"}, TRIG,
+                        {"kind": "power_of_frac", "p": 2},
+                        {"kind": "indicator", "a": 0.25, "b": 0.8}],
+        "x0": 0.3},
 }
 
 # mean-zero trig_poly members on surd rotations: block sums cancel to O(1),
@@ -102,6 +121,10 @@ PINNED = {
         "1aa6df0c183405bcdd1cb74a0073d309a5db8a68eba733c3440969be2d6f48a7",
     "cancel-power-sqrt7":
         "d3e7b4666f2176b6e8f5849595a9b96ee15fc39cb9ebb739a67b71d5a8bddf6a",
+    "periods-5-12":
+        "7173833f611b8b639b2734bd1a1fcade1d59c5e4fb9fa8db52e0245e283647e1",
+    "shared-sqrt2":
+        "bf65607f52046f0c8a6f56721ac80c39b638b3f46b66fe0491711754ec798f1a",
 }
 
 
@@ -111,8 +134,8 @@ def scenario_doc(name):
         # whose error bound is largest against an O(1) sum
         return dict(CANCELLING[name], name=name, tolerance=1.0,
                     schedule={"checkpoints": [1, 65536, 75000, N_MAX]})
-    if name in RATIONAL:
-        doc = dict(RATIONAL[name], name=name, tolerance=1.0)
+    if name in FAMILIES:
+        doc = dict(FAMILIES[name], name=name, tolerance=1.0)
     else:
         doc = json.loads((SHIPPED / f"{name}.json").read_text())
     return dict(doc, schedule={"n_max": N_MAX})
