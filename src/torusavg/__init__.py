@@ -13,9 +13,8 @@ the literal 0.1 is exactly 1/10.  A prediction is not applicable when q
 exceeds 2**20 or when the quadratures of a class exceed the panel budget.
 """
 
-from .dynsys import (TransformFamily, TransformSpec, build_family,
-                     finite_rotation, identity, rotation, rotation_power,
-                     weyl_form)
+from .dynsys import (build_family, finite_rotation, identity, rotation,
+                     rotation_power, weyl_form)
 from .engine import (AverageTrace, Schedule, birkhoff_average,
                      correlation_average, multiple_average, run_job,
                      triple_intersection_average)
@@ -25,6 +24,6 @@ from .observables import (Observable, QuadratureSpec, frac_part, indicator,
 from .oracle import (ComparisonReport, Prediction, compare, predict,
                      predict_intersection)
 from .unitmath import (CompensatedSum, ScalarConstant, UnitPoint, frac,
-                       orbit_point, sum_shifted_frac)
+                       orbit_point)
 
 __version__ = "0.1.0"

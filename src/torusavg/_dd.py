@@ -2,7 +2,7 @@
 
 Scalar functions work on (hi, lo) pairs of Python floats.  The ``v_``
 prefixed variants are numpy-vectorized: ``v_two_sum`` is error-free, and
-``v_sum`` and ``v_sum_rows`` are exactly rounded sums.
+``v_sum`` is an exactly rounded sum.
 
 ``v_sum`` certifies most sums after one ExtractVector pass.  With
 sigma = 2**(e+m) above 2**m * max|a|, the split a = q + r,
@@ -202,33 +202,3 @@ def _sum_passes(s: float, r) -> float:
         sums.append(float(q.sum()))
         big = float(np.abs(r, out=q).max())
     return math.fsum(sums + r[r != 0].tolist())
-
-
-def v_sum_rows(a) -> np.ndarray:
-    """``v_sum`` of every row of a 2-D float64 array, with one sigma per
-    row, so many short rows cost a few whole-array passes.  Where no
-    residue is left and at most two pass sums are nonzero, one addition
-    rounds them correctly; other rows go to fsum as in ``v_sum``.
-    """
-    m = (a.shape[1] + 1).bit_length()
-    q = np.abs(a)
-    big = q.max(axis=1, initial=0.0)
-    plain = ~np.isfinite(big) | (big == 0.0) | (np.frexp(big)[1] + m > 1023)
-    big[plain] = 0.0
-    r = a.copy()
-    r[plain] = 0.0
-    sums = [np.zeros(len(a))]
-    while big.any() and len(sums) <= _SUM_PASSES:
-        sigma = np.ldexp(1.0, np.frexp(big)[1] + m)[:, None]
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        sums.append(q.sum(axis=1))
-        big = np.abs(r, out=q).max(axis=1)
-    s = np.stack(sums, axis=1)
-    out = s.sum(axis=1)
-    for i in np.flatnonzero((big > 0.0) | (np.count_nonzero(s, axis=1) > 2)):
-        out[i] = math.fsum(s[i].tolist() + r[i][r[i] != 0].tolist())
-    for i in np.flatnonzero(plain):
-        out[i] = math.fsum(a[i].tolist())
-    return out

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import dynsys, engine, observables
-from .dynsys import TransformSpec, build_family
+from .dynsys import build_family
 from .engine import Schedule
 from .observables import Observable, integrate
 from .oracle import Prediction, compare, predict, predict_intersection
-from .unitmath import ScalarConstant, sum_shifted_frac, frac
+from .unitmath import ScalarConstant, frac
 
 JOB_KINDS = ("average", "correlation", "triple")
 # n_max * prod_i max(1, max|f_i|) stays below this, so that every term,
@@ -45,7 +43,7 @@ class ScenarioError(ValueError):
 class Scenario:
     name: str
     job: str
-    family: tuple[TransformSpec, ...]
+    family: tuple[ScalarConstant, ...]
     observables: tuple[Observable, ...]
     x0: float
     schedule: Schedule
@@ -62,14 +60,16 @@ class Scenario:
 # name, "fraction" (an integer or a 'p/q' string), [t] for an array of t, a
 # tuple of types for a fixed-length array, a kind table for a nested record,
 # or a decoder function.  The decoder checks JSON types itself (an integer
-# is never a bool or a float, a number is never a bool) and leaves value
-# ranges to the constructors.
+# is never a bool or a float; a number is never a bool, and is at most
+# sys.float_info.max in magnitude, so 10**400 and 1e400, which json reads as
+# inf, are refused alike) and leaves value ranges to the constructors.
 
 _REQUIRED = object()
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 _JSON_TYPES = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max),
     "string": lambda v: isinstance(v, str),
     "fraction": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                            or isinstance(v, str)
@@ -86,15 +86,23 @@ CONSTANTS = {
               ("m", "integer", _REQUIRED))),
     "literal": (ScalarConstant.literal, "number"),
 }
+
+
+def _unlabelled(make):
+    """make, with a transform's "label" field decoded and dropped."""
+    return lambda label, **args: make(**args)
+
+
+_LABEL = ("label", "string", "")
 # Transforms and observables are tagged by their "kind" field.
 TRANSFORMS = {
-    "rotation": (dynsys.rotation,
-                 (("alpha", CONSTANTS, _REQUIRED), ("label", "string", ""))),
-    "rotation_power": (dynsys.rotation_power,
+    "rotation": (_unlabelled(dynsys.rotation),
+                 (("alpha", CONSTANTS, _REQUIRED), _LABEL)),
+    "rotation_power": (_unlabelled(dynsys.rotation_power),
                        (("alpha", CONSTANTS, _REQUIRED),
-                        ("p", "integer", _REQUIRED), ("label", "string", ""))),
-    "finite_rotation": (dynsys.finite_rotation,
-                        (("q", "integer", _REQUIRED), ("label", "string", ""))),
+                        ("p", "integer", _REQUIRED), _LABEL)),
+    "finite_rotation": (_unlabelled(dynsys.finite_rotation),
+                        (("q", "integer", _REQUIRED), _LABEL)),
 }
 OBSERVABLES = {
     "frac_part": (observables.frac_part, ()),
@@ -294,7 +302,7 @@ def parse_scenario(text) -> Scenario:
             g, s_map = periodic
             family, obs = family + [s_map], obs + [g]
         scale = schedule.checkpoints[-1] * math.prod(
-            max(1.0, *map(abs, observables.value_bounds(f))) for f in obs)
+            max(1.0, *map(abs, f.bounds)) for f in obs)
         if not scale < MAX_SCALE:
             raise ScenarioError([
                 f"observables: n_max times the product of each factor's "
@@ -393,8 +401,8 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
 
 _SQRT2 = ScalarConstant.surd(0, 1, 2)
 _SQRT3 = ScalarConstant.surd(0, 1, 3)
-_R2 = dynsys.rotation(_SQRT2, "R_sqrt2")
-_R3 = dynsys.rotation(_SQRT3, "R_sqrt3")
+_R2 = dynsys.rotation(_SQRT2)
+_R3 = dynsys.rotation(_SQRT3)
 _FP = observables.frac_part()
 
 
@@ -432,12 +440,15 @@ def birkhoff_frac_part(sched, tol_scale):
 
 
 def shifted_frac_identity(sched, tol_scale):
-    rng = random.Random(20240824)
-    xs = np.array([rng.random() for _ in range(10_000)])
-    worst = max(float(np.max(np.abs(sum_shifted_frac(xs, k)
-                                    - (k * xs - np.floor(k * xs) + (k - 1) / 2))))
-                for k in range(1, 65))
-    return [_row("shifted-frac identity (max dev)", worst, 0.0, 1e-12)]
+    # predict averages {x0 + r/k} over r < k for the finite member, and
+    # sum_{r<k} {x + r/k} = {kx} + (k - 1)/2 gives the closed form
+    xs = [i / 20 for i in range(20)] + [1 / 3, 0.37, 1.0 - 2.0 ** -53]
+    worst = max(abs(predict(build_family([_R2, dynsys.finite_rotation(k)]),
+                            [_FP, _FP], x0).value
+                    - (frac(k * x0) / (2 * k) + (k - 1) / (4 * k)))
+                for k in range(1, 65) for x0 in xs)
+    return [_row("shifted-frac identity in predict (max dev)", worst, 0.0,
+                 1e-12)]
 
 
 def correlation_diagnostic(sched, tol_scale):
@@ -461,14 +472,12 @@ def _random_member(rng, radicands):
     """A rotation by a surd with a rational part, a power of a surd rotation,
     or a finite rotation; surds draw from the family's radicands."""
     m = rng.choice(radicands)
-    kind = rng.randrange(3)
-    if kind == 0:
-        return dynsys.rotation(ScalarConstant.surd(
-            rng.choice((0, "1/2", "1/3")), rng.choice((1, -1, "1/2")), m))
-    if kind == 1:
-        return dynsys.rotation_power(ScalarConstant.surd(0, 1, m),
-                                     rng.randint(1, 3))
-    return dynsys.finite_rotation(rng.randint(2, 4))
+    return rng.choice((
+        lambda: dynsys.rotation(ScalarConstant.surd(
+            rng.choice((0, "1/2", "1/3")), rng.choice((1, -1, "1/2")), m)),
+        lambda: dynsys.rotation_power(ScalarConstant.surd(0, 1, m),
+                                      rng.randint(1, 3)),
+        lambda: dynsys.finite_rotation(rng.randint(2, 4))))()
 
 
 def randomized_oracle_cross_validation(sched, tol_scale):
@@ -480,7 +489,7 @@ def randomized_oracle_cross_validation(sched, tol_scale):
                             for _ in range(rng.choice((2, 3)))])
         fs = [observables.trig_poly(
             [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(6)])
-            for _ in fam.members]
+            for _ in fam]
         for x0 in (rng.random(), rng.random()):
             pred = predict(fam, fs, x0)
             tr = engine.multiple_average(fam, fs, x0, sched)
@@ -491,20 +500,23 @@ def randomized_oracle_cross_validation(sched, tol_scale):
 
 
 def _random_observable(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return observables.frac_part()
-    if kind == 1:
-        return observables.power_of_frac(rng.randint(1, 4))
-    if kind == 2:
+    """One of the five kinds, drawn uniformly, with random parameters."""
+    def indicator():
         a = rng.uniform(0.0, 0.8)
         return observables.indicator(a, a + rng.uniform(0.05, 1.0 - a))
-    if kind == 3:
-        return observables.trig_poly(
-            [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(4)])
-    knots = sorted(rng.uniform(0.01, 0.99) for _ in range(3))
-    return observables.piecewise_linear(
-        [(0.0, rng.uniform(-1, 1))] + [(p, rng.uniform(-1, 1)) for p in knots])
+
+    def piecewise_linear():
+        knots = sorted(rng.uniform(0.01, 0.99) for _ in range(3))
+        return observables.piecewise_linear(
+            [(0.0, rng.uniform(-1, 1))] + [(p, rng.uniform(-1, 1)) for p in knots])
+
+    return rng.choice((
+        observables.frac_part,
+        lambda: observables.power_of_frac(rng.randint(1, 4)),
+        indicator,
+        lambda: observables.trig_poly(
+            [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(4)]),
+        piecewise_linear))()
 
 
 def group_collapse_equivalence(sched, tol_scale):

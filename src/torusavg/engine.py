@@ -29,7 +29,6 @@ from itertools import product as _iproduct
 import numpy as np
 
 from . import _dd
-from .dynsys import TransformFamily, TransformSpec, effective_rotation
 from .observables import Observable, evaluate_array
 from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac, orbit_point
 
@@ -369,19 +368,18 @@ def run_job(job) -> AverageTrace:
     return AverageTrace(job.schedule, tuple(values), values[-1], est_tail)
 
 
-def birkhoff_average(t: TransformSpec, f: Observable, x0, s: Schedule) -> AverageTrace:
+def birkhoff_average(t: ScalarConstant, f: Observable, x0, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} f(T^n x0) at every checkpoint."""
-    job = DiagonalJob((effective_rotation(t),), (f,), UnitPoint.from_real(x0), s)
+    job = DiagonalJob((t,), (f,), UnitPoint.from_real(x0), s)
     return run_job(job)
 
 
-def multiple_average(fam: TransformFamily, fs, x0, s: Schedule) -> AverageTrace:
-    """(1/N) sum_{n<N} prod_i f_i(T_i^n x0)."""
-    fs = tuple(fs)
-    if len(fs) != len(fam.members):
-        raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    job = DiagonalJob(tuple(effective_rotation(m) for m in fam.members), fs,
-                      UnitPoint.from_real(x0), s)
+def multiple_average(fam, fs, x0, s: Schedule) -> AverageTrace:
+    """(1/N) sum_{n<N} prod_i f_i(T_i^n x0) for the family's constants."""
+    fam, fs = tuple(fam), tuple(fs)
+    if len(fs) != len(fam):
+        raise ValueError(f"{len(fs)} observables for {len(fam)} transformations")
+    job = DiagonalJob(fam, fs, UnitPoint.from_real(x0), s)
     return run_job(job)
 
 
@@ -392,22 +390,21 @@ def _require_indicator(f: Observable, name: str):
     return a, b - a
 
 
-def correlation_average(t: TransformSpec, A: Observable, B: Observable,
+def correlation_average(t: ScalarConstant, A: Observable, B: Observable,
                         s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} len(T^-n A ∩ B), each term exact."""
     a, la = _require_indicator(A, "A")
     b, lb = _require_indicator(B, "B")
-    job = ArcJob(((effective_rotation(t), a, la),), ((b, lb),), s)
+    job = ArcJob(((t, a, la),), ((b, lb),), s)
     return run_job(job)
 
 
-def triple_intersection_average(t1: TransformSpec, t2: TransformSpec,
+def triple_intersection_average(t1: ScalarConstant, t2: ScalarConstant,
                                 A: Observable, B: Observable, C: Observable,
                                 s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} len(T1^-n A ∩ T2^-n B ∩ C)."""
     a, la = _require_indicator(A, "A")
     b, lb = _require_indicator(B, "B")
     c, lc = _require_indicator(C, "C")
-    job = ArcJob(((effective_rotation(t1), a, la),
-                  (effective_rotation(t2), b, lb)), ((c, lc),), s)
+    job = ArcJob(((t1, a, la), (t2, b, lb)), ((c, lc),), s)
     return run_job(job)

@@ -1,8 +1,11 @@
 """Bounded observables on the circle with discontinuity metadata.
 
-Each kind records its breakpoints so panel quadrature can split exactly at
-discontinuities, and carries the exact Haar integral where it is known in
-closed form.  Values at breakpoints follow the right-limit convention.
+Each constructor works out, once per observable, what quadrature and the
+parser read: the breakpoints, so panel quadrature can split exactly at
+discontinuities; the exact Haar integral where it is known in closed form;
+a (min, max) enclosure of the values (``bounds``); and the largest
+frequency (``frequency``), the rest being polynomial between breakpoints.
+Values at breakpoints follow the right-limit convention.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class Observable:
     params: tuple = ()
     breakpoints: tuple[float, ...] = ()
     exact_integral: float | None = None
+    bounds: tuple[float, float] = (0.0, 1.0)
+    frequency: int = 0
 
 
 def frac_part() -> Observable:
@@ -74,7 +79,10 @@ def trig_poly(coeffs) -> Observable:
         raise ValueError(f"frequency must be an integer in "
                          f"[-{MAX_FREQUENCY}, {MAX_FREQUENCY}]")
     const = sum(c for k, c, s in coeffs if k == 0)
-    return Observable("trig_poly", params=coeffs, exact_integral=const)
+    amp = sum(math.hypot(c, s) for k, c, s in coeffs if k != 0)
+    return Observable("trig_poly", params=coeffs, exact_integral=const,
+                      bounds=(const - amp, const + amp),
+                      frequency=max((abs(k) for k, _, _ in coeffs), default=0))
 
 
 def piecewise_linear(knots) -> Observable:
@@ -96,15 +104,23 @@ def piecewise_linear(knots) -> Observable:
     # halves first, so that no sum of two knot values overflows
     integral = sum((x1 - x0) * (v0 / 2.0 + v1 / 2.0) for x0, x1, v0, v1 in segments)
     return Observable("piecewise_linear", params=knots,
-                      breakpoints=tuple(pos), exact_integral=integral)
+                      breakpoints=tuple(pos), exact_integral=integral,
+                      bounds=(min(vs), max(vs)))
 
 
 def product(*factors: Observable) -> Observable:
-    """Pointwise product wrapper; breakpoints are the union of the factors'."""
+    """Pointwise product wrapper; breakpoints are the union of the factors',
+    its bounds the extreme products of theirs, and its frequency the sum of
+    theirs."""
     if not 1 <= len(factors) <= MAX_PRODUCT_FACTORS:
         raise ValueError(f"product takes 1..{MAX_PRODUCT_FACTORS} factors")
     bps = sorted({b for f in factors for b in f.breakpoints})
-    return Observable("product", params=tuple(factors), breakpoints=tuple(bps))
+    lo, hi = 1.0, 1.0
+    for glo, ghi in (f.bounds for f in factors):
+        corners = (lo * glo, lo * ghi, hi * glo, hi * ghi)
+        lo, hi = min(corners), max(corners)
+    return Observable("product", params=tuple(factors), breakpoints=tuple(bps),
+                      bounds=(lo, hi), frequency=sum(f.frequency for f in factors))
 
 
 def evaluate_array(f: Observable, xs: np.ndarray) -> np.ndarray:
@@ -115,25 +131,7 @@ def evaluate_array(f: Observable, xs: np.ndarray) -> np.ndarray:
     gap between its frequencies, none per harmonic.  The error per point is
     of order (2*pi*max|k| + distinct |k|) * 2**-53 * sum(|c| + |s|), also
     near x = 0 and 1/2."""
-    if f.kind == "frac_part":
-        return xs
-    if f.kind == "power_of_frac":
-        return xs ** f.params[0]
-    if f.kind == "indicator":
-        a, b = f.params
-        return ((xs >= a) & (xs < b)).astype(np.float64)
-    if f.kind == "trig_poly":
-        return _trig_poly_values(f.params, xs)
-    if f.kind == "piecewise_linear":
-        xp = [p for p, _ in f.params] + [1.0]
-        fp = [v for _, v in f.params] + [f.params[0][1]]
-        return np.interp(xs, xp, fp)
-    if f.kind == "product":
-        out = evaluate_array(f.params[0], xs)
-        for g in f.params[1:]:
-            out = out * evaluate_array(g, xs)
-        return out
-    raise ValueError(f"unknown observable kind {f.kind!r}")
+    return _VALUES[f.kind](f.params, xs)
 
 
 def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
@@ -175,27 +173,29 @@ def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_bounds(f: Observable):
-    """Conservative (min, max) enclosure of the observable's range."""
-    if f.kind in ("frac_part", "indicator"):
-        return 0.0, 1.0
-    if f.kind == "power_of_frac":
-        return 0.0, 1.0
-    if f.kind == "trig_poly":
-        const = sum(c for k, c, _ in f.params if k == 0)
-        amp = sum(math.hypot(c, s) for k, c, s in f.params if k != 0)
-        return const - amp, const + amp
-    if f.kind == "piecewise_linear":
-        vs = [v for _, v in f.params]
-        return min(vs), max(vs)
-    if f.kind == "product":
-        lo, hi = 1.0, 1.0
-        for g in f.params:
-            glo, ghi = value_bounds(g)
-            corners = (lo * glo, lo * ghi, hi * glo, hi * ghi)
-            lo, hi = min(corners), max(corners)
-        return lo, hi
-    raise ValueError(f"unknown observable kind {f.kind!r}")
+def _piecewise_linear_values(knots, xs: np.ndarray) -> np.ndarray:
+    xp = [p for p, _ in knots] + [1.0]
+    fp = [v for _, v in knots] + [knots[0][1]]
+    return np.interp(xs, xp, fp)
+
+
+def _product_values(factors, xs: np.ndarray) -> np.ndarray:
+    out = evaluate_array(factors[0], xs)
+    for g in factors[1:]:
+        out = out * evaluate_array(g, xs)
+    return out
+
+
+# kind -> values(params, xs), for evaluate_array
+_VALUES = {
+    "frac_part": lambda params, xs: xs,
+    "power_of_frac": lambda params, xs: xs ** params[0],
+    "indicator": lambda params, xs: (
+        (xs >= params[0]) & (xs < params[1])).astype(np.float64),
+    "trig_poly": _trig_poly_values,
+    "piecewise_linear": _piecewise_linear_values,
+    "product": _product_values,
+}
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,6 @@ class QuadratureSpec:
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-def _frequency(f: Observable) -> int:
-    """Largest frequency of f; the rest is polynomial between breakpoints."""
-    if f.kind == "trig_poly":
-        return max((abs(k) for k, _, _ in f.params), default=0)
-    if f.kind == "product":
-        return sum(_frequency(g) for g in f.params)
-    return 0
 
 
 def _preimages(b: float, s: float, c: int):
@@ -250,7 +241,7 @@ def integrate(fs, q: QuadratureSpec | None = None, maps=None):
     maps = [(0.0, 1)] * len(fs) if maps is None else list(maps)
     shifts = np.array([s for s, _ in maps], dtype=np.float64)
     cs = [c for _, c in maps]
-    uniform = max(q.panels, 2 * sum(abs(c) * _frequency(f) for f, c in zip(fs, cs)))
+    uniform = max(q.panels, 2 * sum(abs(c) * f.frequency for f, c in zip(fs, cs)))
     panels = uniform + sum(abs(c) * len(f.breakpoints) for f, c in zip(fs, cs))
     total = panels * shifts[0].size
     if total > _PANEL_BUDGET:

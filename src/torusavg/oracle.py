@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dd
-from .dynsys import TransformFamily, weyl_form
+from .dynsys import weyl_form
 from .engine import AverageTrace, rational_points
 from .observables import (QuadratureBudgetError, QuadratureSpec,
                           evaluate_array, integrate)
@@ -92,13 +92,13 @@ def _shift_period(ts) -> int:
     return math.lcm(*((t.c * a - t.a).denominator for t in ts))
 
 
-def predict(fam: TransformFamily, fs, x0=0.0,
-            quad: QuadratureSpec | None = None) -> Prediction:
-    """Predicted limit of the diagonal average from x0 for this family."""
-    fs = list(fs)
-    if len(fs) != len(fam.members):
-        raise ValueError(f"{len(fs)} observables for {len(fam.members)} transformations")
-    terms, derivation, q = _resolve(fam.members)
+def predict(fam, fs, x0=0.0, quad: QuadratureSpec | None = None) -> Prediction:
+    """Predicted limit of the diagonal average from x0 for the family's
+    constants."""
+    fam, fs = tuple(fam), list(fs)
+    if len(fs) != len(fam):
+        raise ValueError(f"{len(fs)} observables for {len(fam)} transformations")
+    terms, derivation, q = _resolve(fam)
     if q > MAX_PERIOD:
         shown = q if q < _PRINTABLE else f"of {q.bit_length()} bits"
         return Prediction(None, derivation, False,

@@ -1,9 +1,9 @@
 """Arithmetic on the unit circle [0, 1).
 
 Fractional parts, exact rotation constants a + b*sqrt(m), drift-controlled
-orbit points {x + n*alpha}, Neumaier compensated summation and the
-shifted-fractional-part identity.  A literal constant is the rational of
-its shortest round-trip decimal, so the literal 0.1 is exactly 1/10.
+orbit points {x + n*alpha} and Neumaier compensated summation.  A literal
+constant is the rational of its shortest round-trip decimal, so the literal
+0.1 is exactly 1/10.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import _dd
 
@@ -179,23 +177,3 @@ class CompensatedSum:
 
     def value(self) -> float:
         return self._s + self._c
-
-
-def sum_shifted_frac(x, k: int):
-    """Sum_{r=0}^{k-1} {x + r/k}, each term evaluated directly; for a 1-D
-    array of x, an array with one sum per x.
-
-    Equals {k*x} + (k-1)/2 for every real x in [0, 1]; the right-hand side
-    is the test oracle, this computes the left-hand side.  Terms carry at
-    most a couple of ulp each and each sum is exactly rounded (math.fsum of
-    its terms, bit for bit), so the identity holds to well below 1e-12 for
-    k up to a few thousand.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all((0.0 <= x) & (x <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    t = x[..., None] + np.arange(k) / k
-    t -= np.floor(t)
-    return _dd.v_sum(t) if t.ndim == 1 else _dd.v_sum_rows(t)

@@ -31,7 +31,7 @@ def test_parse_minimal_scenario():
     assert sc.name == "minimal"
     assert sc.job == "average"
     assert len(sc.family) == 1
-    assert sc.family[0].alpha == ScalarConstant.surd(0, 1, 2)
+    assert sc.family[0] == ScalarConstant.surd(0, 1, 2)
     assert sc.observables[0].kind == "frac_part"
     assert sc.schedule.checkpoints == (10, 100, 1000)
     assert sc.x0 == 0.0
@@ -131,7 +131,7 @@ def test_parse_surd_fraction_coefficients():
         "schedule": {"checkpoints": [10]},
         "tolerance": 0.1,
     }))
-    assert sc.family[0].alpha == ScalarConstant.surd("1/2", "2/3", 5)
+    assert sc.family[0] == ScalarConstant.surd("1/2", "2/3", 5)
 
 
 def test_shipped_scenarios_parse():
@@ -210,8 +210,7 @@ def test_parse_refuses_nonpositive_periodic_order(k):
 def test_shipped_example_family():
     pkg = resources.files("torusavg") / "scenarios"
     sc = parse_scenario((pkg / "distinct-rotations.json").read_text())
-    alphas = [m.alpha for m in sc.family]
-    assert alphas == [ScalarConstant.surd(0, 1, 2), ScalarConstant.surd(0, 1, 3)]
+    assert sc.family == (ScalarConstant.surd(0, 1, 2), ScalarConstant.surd(0, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +356,22 @@ def test_main_refuses_overflowing_observables(tmp_path, capsys, obs, message):
     assert main(["predict", str(p)]) == 2
     assert capsys.readouterr().err.count(message) == 2
     assert not (tmp_path / "big.trace.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["tolerance", "expected_override"])
+@pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400])
+def test_main_refuses_numbers_beyond_float_range(tmp_path, capsys, field, text):
+    # schema-valid before the range rule: 1e400 read as inf was accepted,
+    # and run wrote "tolerance": Infinity into its report, which is not
+    # JSON; float() of 10**400 raised OverflowError out of parse_scenario
+    doc = json.loads(MINIMAL)
+    doc.pop(field, None)
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(doc)[:-1] + f', "{field}": {text}}}')
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 2
+    assert main(["predict", str(p)]) == 2
+    assert capsys.readouterr().err.count(f"{field}: expected number") == 2
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 @pytest.mark.parametrize("obs", [
@@ -511,7 +526,7 @@ def test_verify_builtin_small_n():
     assert len(rows) == 25
     # exact checks hold at any N
     by_name = {r["name"]: r for r in rows}
-    assert by_name["shifted-frac identity (max dev)"]["passed"]
+    assert by_name["shifted-frac identity in predict (max dev)"]["passed"]
     assert by_name["group-collapse equivalence (max dev)"]["passed"]
     assert by_name["repeat-run determinism"]["passed"]
     assert by_name["weyl form literal 0.5 -> a = 1/2"]["passed"]

@@ -1,6 +1,6 @@
 """``_dd.v_sum`` is ``math.fsum(a.tolist())``, bit for bit, or raises what
-fsum raises; ``v_sum_rows`` is the same row by row.  Sums near a rounding
-midpoint take the fallback passes, and engine blocks do not."""
+fsum raises.  Sums near a rounding midpoint take the fallback passes, and
+engine blocks do not."""
 
 import math
 import struct
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg import _dd, cli, engine
-from torusavg._dd import v_sum, v_sum_rows
+from torusavg._dd import v_sum
 from torusavg.observables import trig_poly
 from torusavg.unitmath import ScalarConstant, UnitPoint
 
@@ -60,28 +60,6 @@ def test_v_sum_is_fsum(a):
     assert_same_as_fsum(a)
 
 
-def row_outcomes(a):
-    """fsum of every row, or what the first row that raises raises."""
-    sums = []
-    for row in a:
-        got = outcome(lambda r: math.fsum(r.tolist()), row)
-        if not isinstance(got, bytes):
-            return got
-        sums.append(got)
-    return b"".join(sums)
-
-
-@settings(max_examples=100, deadline=None)
-@given(vectors(), st.integers(1, 40))
-def test_v_sum_rows_are_fsum(a, rows):
-    a = a[:len(a) // rows * rows].reshape(rows, -1)
-    try:
-        got = v_sum_rows(a).astype("<f8").tobytes()
-    except (ValueError, OverflowError) as exc:
-        got = type(exc), str(exc)
-    assert got == row_outcomes(a)
-
-
 @pytest.mark.parametrize("reps", [1, 600])  # short and long vectors
 @pytest.mark.parametrize("pattern", [
     [], [0.0], [-0.0], [0.0, -0.0], [1.0, -1.0], [TINY], [TINY, -TINY],
@@ -106,8 +84,6 @@ def test_v_sum_parts_in_separate_passes(pattern):
     # zero pass sums and leave residues after the last pass
     padded = np.array(pattern + [0.0] * 600)
     assert_same_as_fsum(padded)
-    rows = np.array([pattern, pattern[::-1], [0.0] * (len(pattern) - 1) + [1.0]])
-    assert v_sum_rows(rows).tobytes() == row_outcomes(rows)
 
 
 def midpoint_vector(parts, seed):

@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 
 from torusavg.dynsys import (MAX_FAMILY_SIZE, WeylTerm, build_family,
-                             effective_rotation, finite_rotation, identity,
-                             rotation, rotation_power, weyl_form)
+                             finite_rotation, identity, rotation,
+                             rotation_power, weyl_form)
 from torusavg.unitmath import ScalarConstant, UnitPoint, orbit_point
 
 mp.mp.dps = 40
@@ -15,9 +15,9 @@ SQRT2 = ScalarConstant.surd(0, 1, 2)
 SQRT3 = ScalarConstant.surd(0, 1, 3)
 
 
-def apply(spec, x, n):
-    """T^n x."""
-    return orbit_point(x, effective_rotation(spec), n)
+def apply(alpha, x, n):
+    """T^n x for the rotation by alpha."""
+    return orbit_point(x, alpha, n)
 
 
 def finite_order(spec):
@@ -37,14 +37,14 @@ def classes(specs):
 
 
 # ---------------------------------------------------------------------------
-# constructors / effective rotation
+# constructors: each returns the constant of its rotation
 
 
 def test_effective_rotation():
-    assert effective_rotation(rotation(SQRT2)) == SQRT2
-    assert effective_rotation(rotation_power(SQRT2, 2)) == ScalarConstant.surd(0, 2, 2)
-    assert effective_rotation(finite_rotation(5)) == ScalarConstant.rational(1, 5)
-    assert effective_rotation(identity()) == ScalarConstant.rational(0)
+    assert rotation(SQRT2) == SQRT2
+    assert rotation_power(SQRT2, 2) == ScalarConstant.surd(0, 2, 2)
+    assert finite_rotation(5) == ScalarConstant.rational(1, 5)
+    assert identity() == ScalarConstant.rational(0)
 
 
 def test_constructor_domain_errors():
@@ -146,7 +146,7 @@ def test_weyl_form_finite_vs_rational():
 
 def test_family_size_limits():
     # a scenario's family and its periodic factor
-    assert len(build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 1)).members) == 9
+    assert build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 1)) == (SQRT2,) * 9
     with pytest.raises(ValueError):
         build_family([])
     with pytest.raises(ValueError):

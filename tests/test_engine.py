@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.dynsys import (build_family, effective_rotation,
-                             finite_rotation, rotation, rotation_power)
+from torusavg.dynsys import (build_family, finite_rotation, rotation,
+                             rotation_power)
 from torusavg import _dd, engine
 from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
                              DiagonalJob, Schedule, _block_plan, _grid_split,
@@ -19,7 +19,7 @@ from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
                              triple_intersection_average)
 from torusavg.observables import (evaluate_array, frac_part, indicator,
                                   piecewise_linear, power_of_frac, product,
-                                  trig_poly, value_bounds)
+                                  trig_poly)
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
                                frac, orbit_point)
 
@@ -188,10 +188,12 @@ def test_chunk_size_invariance(monkeypatch):
 
 def test_average_bounded_by_observable_range():
     fam = build_family([rotation(SQRT2)])
-    f = trig_poly([(0, 0.5, 0.0), (2, 1.0, -1.0)])
-    lo, hi = value_bounds(f)
-    tr = multiple_average(fam, [f], 0.6, Schedule.geometric(10 ** 4))
-    assert all(lo - 1e-12 <= v <= hi + 1e-12 for v in tr.values)
+    for f in (trig_poly([(0, 0.5, 0.0), (2, 1.0, -1.0)]),
+              product(piecewise_linear([(0.0, -2.0), (0.5, 3.0)]),
+                      trig_poly([(1, 1.0, 0.0)]))):
+        lo, hi = f.bounds
+        tr = multiple_average(fam, [f], 0.6, Schedule.geometric(10 ** 4))
+        assert all(lo - 1e-12 <= v <= hi + 1e-12 for v in tr.values)
 
 
 def test_cesaro_stability():
@@ -468,7 +470,7 @@ TILED_OBSERVABLES = {
 }
 TILED_CONSTANTS = [
     (1, ScalarConstant.rational(3, 1)),
-    (1, effective_rotation(rotation_power(ScalarConstant.rational(1, 2), 2))),
+    (1, rotation_power(ScalarConstant.rational(1, 2), 2)),
     (2, ScalarConstant.rational(1, 2)),
     (7, ScalarConstant.rational(-3, 7)),
     (12, ScalarConstant.rational(5, 12)),

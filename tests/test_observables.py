@@ -12,7 +12,7 @@ from torusavg.observables import (MAX_FREQUENCY, MAX_PRODUCT_FACTORS, Observable
                                   QuadratureBudgetError, QuadratureSpec,
                                   evaluate_array, frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, product,
-                                  trig_poly, value_bounds)
+                                  trig_poly)
 from torusavg.unitmath import UnitPoint
 
 
@@ -180,10 +180,13 @@ def test_value_bounds_enclose_samples():
     fs = [frac_part(), indicator(0.1, 0.2),
           trig_poly([(0, 1.0, 0.0), (3, 0.5, 0.5)]),
           piecewise_linear([(0.0, -2.0), (0.5, 3.0)]),
-          product(trig_poly([(1, 1.0, 0.0)]), frac_part())]
+          product(trig_poly([(1, 1.0, 0.0)]), frac_part()),
+          product(piecewise_linear([(0.0, -2.0), (0.5, 3.0)]),
+                  trig_poly([(0, -1.0, 0.0), (2, 0.5, 0.0)]), power_of_frac(2))]
+    assert (fs[-1].bounds, fs[-1].frequency) == ((-4.5, 3.0), 2)
     xs = np.linspace(0.0, 1.0, 1000, endpoint=False)
     for f in fs:
-        lo, hi = value_bounds(f)
+        lo, hi = f.bounds
         vals = evaluate_array(f, xs)
         assert lo <= vals.min() + 1e-12 and vals.max() - 1e-12 <= hi
 

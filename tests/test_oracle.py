@@ -251,6 +251,25 @@ def test_predict_finite_rotation_matches_identity():
             assert m.value == pytest.approx(rhs, abs=1e-12)
 
 
+def test_predict_periodic_factor_closed_form():
+    # [R_sqrt2, x -> x + 1/k] with [{x}, {x}]: the sqrt2 member integrates
+    # to 1/2, and sum_{r<k} {x + r/k} = {kx} + (k - 1)/2 leaves the exact
+    # limit {k x0}/(2k) + (k - 1)/(4k), here in exact arithmetic.  Besides
+    # 0 and 1/2, which lie on every grid j/k of even k, the x0 avoid the
+    # floats nearest j/k, such as 1/3: there {x0 + r/k} lies within an ulp
+    # of 1, and whether it rounds to 0 decides a jump of 1/(2k)
+    rng = random.Random(64)
+    xs = [0.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -40] + [
+        rng.random() for _ in range(19)]
+    for k in range(1, 65):
+        fam = build_family([rotation(SQRT2), finite_rotation(k)])
+        for x0 in xs:
+            pred = predict(fam, [frac_part(), frac_part()], x0)
+            want = Fraction(k) * Fraction(x0) % 1 / (2 * k) + Fraction(k - 1, 4 * k)
+            assert pred.applicable
+            assert abs(pred.value - float(want)) <= 1e-12, (k, x0)
+
+
 def test_predict_group_collapse():
     # [T, T] with f, g couples into one integral of the product
     fam2 = build_family([rotation(SQRT2), rotation(SQRT2)])

@@ -8,6 +8,7 @@ document that breaks one, and on all other documents the two must agree.
 
 import json
 import math
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
-from torusavg.dynsys import build_family, effective_rotation
+from torusavg.dynsys import build_family
 from torusavg.engine import MAX_N, MIN_RATIO, _orbit_block
 from torusavg.observables import MAX_FREQUENCY
 from torusavg.oracle import predict
@@ -102,8 +103,11 @@ COUNT = rarely(st.integers(1, 12), st.integers(-1, 0))
 RADICAND = st.one_of(COUNT, st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1]))
 FREQUENCY = st.one_of(st.integers(-3, 6), st.sampled_from(
     [MAX_FREQUENCY, -MAX_FREQUENCY, MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1]))
-UNIT = rarely(st.floats(0, 1, exclude_max=True), st.floats(-0.25, 1.25))
-NUM = st.one_of(st.floats(-2, 2), st.integers(-2, 2))
+# numbers beyond float range, which the schema's real and the parser refuse
+HUGE = st.sampled_from([10 ** 400, -10 ** 400])
+UNIT = rarely(st.floats(0, 1, exclude_max=True),
+              st.one_of(st.floats(-0.25, 1.25), HUGE))
+NUM = rarely(st.one_of(st.floats(-2, 2), st.integers(-2, 2)), HUGE)
 FRACTION = st.one_of(st.integers(-3, 3), rarely(
     st.sampled_from(["1/2", "-3/4", "7"]),
     st.sampled_from(["2/0", "0.5", "abc", "", "1/2/3", "+1", " 1"]), 3))
@@ -138,11 +142,11 @@ observable = st.one_of(
             "coeffs": st.lists(row(FREQUENCY, NUM, NUM),
                                max_size=3)}),
     record({"kind": st.just("piecewise_linear"), "knots": knots}))
-# Ratios from the floor upward, plus the floor, the float just below it
-# and a few values far below.
+# Ratios from the floor upward, plus the floor, the float just below it,
+# a few values far below and one beyond float range.
 ratio = st.one_of(st.floats(MIN_RATIO, 1e308),
                   st.sampled_from([MIN_RATIO, math.nextafter(MIN_RATIO, 0),
-                                   0.5, 1]))
+                                   0.5, 1, 10 ** 400]))
 schedule = rarely(st.one_of(
     record({"n_max": rarely(st.integers(1, 10 ** 6), st.sampled_from(
         [-1, 0, 2 ** 53, 2 ** 53 + 1]))}, {"ratio": ratio}),
@@ -168,7 +172,8 @@ def scenario(draw):
     periodic = record({"g": observable, "k": COUNT})
     required = {"name": rarely(st.just("s"), st.just("")),
                 "family": st.just(family), "schedule": schedule,
-                "tolerance": rarely(st.floats(1e-3, 1), st.floats(-0.5, 0))}
+                "tolerance": rarely(st.floats(1e-3, 1),
+                                    st.one_of(st.floats(-0.5, 0), HUGE))}
     optional = {"x0": UNIT, "workers": COUNT, "expected_override": NUM}
     if job == "average":
         required["observables"] = st.just(obs)
@@ -189,15 +194,16 @@ def _nodes(node):
 
 
 def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _breaks_cross_field_rule(doc) -> bool:
     """Indicator a < b; an average job has as many observables as
     transforms; checkpoints strictly increase; knots strictly increase from
     position 0, with finite slopes.  The rule on n_max times the factors'
-    largest values is never broken here, as every drawn value is within
-    2 of 0."""
+    largest values is never broken here, as every drawn number is within
+    2 of 0 or beyond float range, which both refuse."""
     def increasing(xs):
         return all(map(_number, xs)) and all(a < b for a, b in zip(xs, xs[1:]))
 
@@ -251,7 +257,8 @@ CONSTANT = st.one_of(
               st.integers(-BIG, BIG), st.integers(-1, BIG)),
     st.builds(lambda v: {"literal": v}, st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([5e-324, -0.0, 1e300, 12.0, 0.1]))),
+        st.sampled_from([5e-324, -0.0, 1e300, 12.0, 0.1, 10 ** 400,
+                         -10 ** 400]))),
     st.builds(lambda a, b, m: {"surd": {"a": a, "b": b, "m": m}},
               FRACTION_TEXT, FRACTION_TEXT, st.one_of(
                   st.integers(0, 10 ** 6),
@@ -277,7 +284,7 @@ def test_parsed_constant_runs_in_engine_and_oracle(alpha):
     pred = predict(build_family(sc.family), sc.observables, sc.x0)
     assert pred.applicable == (pred.value is not None)
     x0, ws = UnitPoint.from_real(sc.x0), np.empty((2, 17))
-    for spec in sc.family:
+    for alpha in sc.family:
         for n0 in (0, MAX_N - 17):
-            pts = _orbit_block(x0, effective_rotation(spec), n0, n0 + 17, ws)
+            pts = _orbit_block(x0, alpha, n0, n0 + 17, ws)
             assert np.all((pts >= 0.0) & (pts < 1.0))

@@ -1,15 +1,13 @@
 import math
-import random
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusavg.unitmath import (MAX_RADICAND, CompensatedSum, ScalarConstant,
-                               UnitPoint, frac, orbit_point, sum_shifted_frac)
+                               UnitPoint, frac, orbit_point)
 
 mp.mp.dps = 40
 
@@ -175,50 +173,6 @@ def test_compensated_sum_overflow_reported():
 def test_compensated_sum_rejects_non_finite():
     with pytest.raises(ValueError):
         CompensatedSum().add(math.nan)
-
-
-# ---------------------------------------------------------------------------
-# sum_shifted_frac
-
-
-def test_sum_shifted_frac_examples():
-    assert sum_shifted_frac(0.25, 1) == 0.25
-    assert sum_shifted_frac(0.25, 2) == pytest.approx(1.0, abs=1e-14)
-    assert sum_shifted_frac(0.2, 5) == pytest.approx(2.0, abs=1e-13)
-
-
-def test_sum_shifted_frac_identity_bulk():
-    rng = random.Random(123)
-    xs = [rng.random() for _ in range(500)] + [0.0, 1.0, 0.5]
-    for k in range(1, 65):
-        for x in xs:
-            rhs = frac(k * x) + (k - 1) / 2
-            assert abs(sum_shifted_frac(x, k) - rhs) <= 1e-12
-
-
-def test_sum_shifted_frac_rows_are_fsum():
-    rng = random.Random(7)
-    xs = np.array([rng.random() for _ in range(200)]
-                  + [0.0, 1.0, 0.5, 0.1, 1 / 3, 5e-324, 1e-300, 2.0 ** -40,
-                     1 - 2.0 ** -53, 0.7 + 2.0 ** -50])
-    for k in (1, 2, 3, 7, 10, 64, 600, 1000):
-        sums = sum_shifted_frac(xs, k)
-        assert isinstance(sums, np.ndarray) and sums.shape == xs.shape
-        for x, got in zip(xs.tolist(), sums.tolist()):
-            t = x + np.arange(k) / k
-            ref = math.fsum((t - np.floor(t)).tolist())
-            assert got.hex() == ref.hex(), (x, k)
-            scalar = sum_shifted_frac(x, k)
-            assert type(scalar) is float and scalar.hex() == ref.hex()
-
-
-def test_sum_shifted_frac_domain():
-    with pytest.raises(ValueError):
-        sum_shifted_frac(0.5, 0)
-    with pytest.raises(ValueError):
-        sum_shifted_frac(1.5, 3)
-    with pytest.raises(ValueError):
-        sum_shifted_frac(np.array([0.5, -0.25]), 3)
 
 
 # ---------------------------------------------------------------------------

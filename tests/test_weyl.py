@@ -15,8 +15,8 @@ from itertools import product
 import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (build_family, effective_rotation,
-                             finite_rotation, rotation, rotation_power)
+from torusavg.dynsys import (build_family, finite_rotation, rotation,
+                             rotation_power)
 from torusavg.engine import Schedule, multiple_average
 from torusavg.observables import trig_poly
 from torusavg.oracle import predict
@@ -39,9 +39,8 @@ def _fourier(f):
     return out
 
 
-def _parts(spec):
+def _parts(k):
     """(rational part, {radicand: coefficient}) of a member's constant."""
-    k = effective_rotation(spec)
     return k.a, ({k.m: k.b} if k.b else {})
 
 
