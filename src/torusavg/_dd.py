@@ -92,10 +92,9 @@ def dd_sqrt_int(m):
     return fast_two_sum(s, e)
 
 
-def dd_from_fraction(fr):
-    """Correctly rounded: hi = fr rounded, lo = the remainder rounded (int
-    true division rounds correctly)."""
-    p, q = fr.numerator, fr.denominator
+def dd_from_ratio(p, q):
+    """p/q for ints q > 0, correctly rounded and so the same for any form of
+    the ratio: hi = p/q, lo = the remainder (int true division rounds so)."""
     h = p / q
     n, d = h.as_integer_ratio()
     return h, (p * d - n * q) / (q * d)
@@ -162,9 +161,9 @@ def v_sum(a) -> float:
     are multiples of 2**-1074, so an error below 2**-1074 is 0.
 
     Otherwise (the sum lies near a rounding midpoint, or is 0) the passes
-    go on from the residues r (``_sum_passes``).  Short vectors,
-    non-finite input and input near the overflow threshold go to fsum
-    directly, which keeps its NaN/inf results and exceptions.
+    go on from the residues r (``_sum_passes``).  All zeros sum to +0.0, as
+    in fsum for any signs.  Short vectors, non-finite input and input near
+    the overflow threshold go to fsum, which keeps its NaN/inf and errors.
     """
     n = len(a)
     if n < _SUM_MIN_VECTOR:
@@ -173,8 +172,10 @@ def v_sum(a) -> float:
     # the ufunc reductions skip the array methods' wrappers: a fixed cost
     # that matters for short vectors
     big = max(float(np.maximum.reduce(a)), -float(np.minimum.reduce(a)))
+    if big == 0.0:
+        return 0.0
     e = math.frexp(big)[1]
-    if not math.isfinite(big) or big == 0.0 or e + m > 1023:
+    if not math.isfinite(big) or e + m > 1023:
         return math.fsum(a.tolist())
     sigma = math.ldexp(1.0, e + m)
     r = np.add(a, sigma)

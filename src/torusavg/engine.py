@@ -4,13 +4,13 @@ Orbits are evaluated blockwise: each block starts from the exact base
 {x0 + n0*alpha} (product reduction with Python-int step counts, never
 iterated additions) and adds j*alpha for the local step j, split so that
 the large part is exact in float64; one sign test wraps the points into
-[0, 1).  Each job plans its members once.  A rational member repeats with
-its period q, so when q is below DEFAULT_CHUNK its observable is evaluated
-at one period of points per job, and each block copies those values,
-rotated to its first step, and tiles them.  That gives the terms bit for
-bit, as no value depends on the length of the array it is computed in; for
-this, trig_poly runs each Horner multiply out of place, since numpy rounds
-an in-place complex multiply of a one-element array through a scalar path.
+[0, 1).  Each job plans its members' orbits once.  A rational member
+repeats with its period q, so when q is below DEFAULT_CHUNK its observable
+is evaluated at one period of points per job, and each block multiplies by
+those values, rotated to its first step, in rows that q divides: the terms
+bit for bit, as no value depends on the length of the array it is computed
+in (trig_poly runs each Horner multiply out of place for this, as numpy
+rounds an in-place complex multiply of a one-element array differently).
 Members with equal constants share one orbit per block.  Block sums are
 exactly rounded (``_dd.v_sum``, equal to math.fsum bit for bit): one
 ExtractVector pass and a bound on its rounding error certify almost every
@@ -123,37 +123,52 @@ def _period(const: ScalarConstant):
     return fr.denominator if fr.numerator * fr.denominator < 1 << 62 else None
 
 
-def _tile(out, m: int):
-    """Repeat out[:m] across out, in place, by doubling copies."""
-    while m < len(out):
-        c = min(m, len(out) - m)
-        out[m:m + c] = out[:c]
-        m += c
+def _orbit(const: ScalarConstant):
+    """(const, q, step): const's ``_period`` q, or None and step {const}."""
+    q = _period(const)
+    return const, q, None if q is not None else _dd.dd_frac(const.dd())
+
+
+# a period view's rows are the multiple of q below this, or q, wide: on 2**16
+# terms, rows of 2**10 .. 2**12 multiply about 1.4 times slower than 2**13
+_VIEW = 1 << 13
+
+
+def _times_period(row, a, out):
+    """out = a * row repeated, or row repeated for a None, through a
+    (rows, len(row)) view of out and its tail: the bits of a full product."""
+    w, k = len(row), len(out) - len(out) % len(row)
+    body, tail = out[:k].reshape(-1, w), out[k:]
+    if a is None:
+        body[...], tail[...] = row, row[:len(tail)]
+    else:
+        np.multiply(a[:k].reshape(-1, w), row, out=body)
+        np.multiply(a[k:], row[:len(tail)], out=tail)
     return out
 
 
 def rational_points(x0: UnitPoint, fr, n0: int, out):
     """{x0 + n*fr} for a Fraction fr, from the exact residue n*p mod q of
     fr mod 1 = p/q, written to out; p*q must be below 2**62, so the residues
-    stay exact in int64.  The points repeat with period q, so one period is
-    computed and tiled; a ``DiagonalJob`` asks for one period from n = 0
-    once, and tiles the observable's values instead."""
+    stay exact in int64.  One row of whole periods is computed and repeated;
+    a ``DiagonalJob`` repeats the values at one period from n = 0 instead."""
     fr %= 1
     p, q = fr.numerator, fr.denominator
-    m = min(q, len(out))
+    m = min(q * max(1, _VIEW // q), len(out))
     n = np.arange(n0, n0 + m, dtype=np.int64)
     h, e = _dd.v_two_sum(((n % q) * p % q).astype(np.float64) / q, x0.value)
     o = np.subtract(h, np.floor(h), out=out[:m])
     o += e + x0.comp
     _wrap(o, h)
-    return _tile(out, m)
+    if m < len(out):
+        _times_period(o, None, out[m:])
+    return out
 
 
-def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
-                 ws) -> np.ndarray:
+def _orbit_block(x0: UnitPoint, orbit, n0: int, n1: int, ws) -> np.ndarray:
     """Points {x0 + n*alpha} for n0 <= n < n1, within about half an ulp.
 
-    A rational alpha with a period (``_period``) goes to
+    A rational alpha with a period (``_orbit``) goes to
     ``rational_points``.  Any other alpha runs in L <= _STEP_MAX points from
     the base {x0 + m0*alpha} (``orbit_point``: Python-int step count, exact
     rational part), adding j*{alpha} for the local step j < L.  Base and
@@ -172,9 +187,9 @@ def _orbit_block(x0: UnitPoint, const: ScalarConstant, n0: int, n1: int,
     n1 - n0 floats.
     """
     out, t = ws
-    if _period(const) is not None:
+    const, q, step = orbit
+    if q is not None:
         return rational_points(x0, const.a, n0, out)
-    step = _dd.dd_frac(const.dd())
     for m0 in range(n0, n1, _STEP_MAX):
         m1 = min(n1, m0 + _STEP_MAX)
         k = 52 - (m1 - m0 - 1).bit_length()
@@ -207,19 +222,21 @@ class DiagonalJob:
 
     @cached_property
     def _plan(self):
-        """Per member (observable, constant, row, tile), and a later member
-        that reads member 0's points, or None.  A member whose period q is
-        below DEFAULT_CHUNK has as tile its values at n = 0 .. 2q - 1, and
-        row None.  Any other member reads its points from ws[row], row being
-        the first member with its constant, which computes them."""
+        """Per member (observable, orbit, row, period), and a later member
+        that reads member 0's points, or None.  A member of period q below
+        DEFAULT_CHUNK has as period its values at n < w + q and the row
+        width w.  Any other member reads its points from ws[row], row being
+        the first member with its constant, which computes its ``_orbit``."""
         first, plan = {}, []
         for i, (c, f) in enumerate(zip(self.constants, self.observables)):
-            q = _period(c)
+            row, orbit = first.get(c) or first.setdefault(c, (i, _orbit(c)))
+            q = orbit[1]
             if q is not None and q < DEFAULT_CHUNK:
                 v = evaluate_array(f, rational_points(self.x0, c.a, 0, np.empty(q)))
-                plan.append((f, c, None, np.concatenate((v, v))))
+                w = q * max(1, _VIEW // q)
+                plan.append((f, None, None, (np.tile(v, w // q + 1), w)))
             else:
-                plan.append((f, c, first.setdefault(c, i), None))
+                plan.append((f, orbit, row, None))
         spare = next((i for i, p in enumerate(plan[1:], 1) if p[2] == 0), None)
         return tuple(plan), spare
 
@@ -227,37 +244,30 @@ class DiagonalJob:
         """The terms for n0 <= n < n1, from the plan the job makes once.
 
         A member of period q below DEFAULT_CHUNK is evaluated at one period
-        of points per job.  A block copies those values, rotated to start at
-        n0 mod q, and tiles them.  Its values repeat as its points do, and
-        no value depends on the length of the array it is evaluated in (each
-        Horner multiply of a trig_poly runs out of place for this), so the
-        terms are the bits that evaluating every point gives.  The plan
-        holds 2q values of such a member.  Members with equal constants
-        share one ``_orbit_block`` call per block.  The product runs in
-        member order, as the rounding of a product depends on it."""
-        # one buffer per block: member i's points or tiled values in row i,
-        # orbit scratch in the last row
+        of points per job, and a block multiplies by those values, rotated
+        to start at n0 mod q, in rows that q divides (only member 0 writes
+        them out).  They repeat as its points do, and no value depends on
+        the length of the array it is evaluated in (see the module note),
+        so the terms are the bits that evaluating every point gives.
+        Members with equal constants share one ``_orbit_block`` call per
+        block.  The product runs in member order, as its rounding depends on it."""
+        # one buffer per block: member i's points in row i, scratch last
         plan, spare = self._plan
         ws = np.empty((len(plan) + 1, n1 - n0))
         out = None
-        for i, (f, c, row, tile) in enumerate(plan):
-            if tile is None:
+        for i, (f, orbit, row, period) in enumerate(plan):
+            # member 0's values may be its points (frac_part), which member
+            # spare reads later: the product moves to spare's free row
+            dst = ws[i] if out is None else ws[spare] if i == 1 and spare else out
+            if period is None:
                 if row == i:
-                    _orbit_block(self.x0, c, n0, n1, (ws[i], ws[-1]))
+                    _orbit_block(self.x0, orbit, n0, n1, (ws[i], ws[-1]))
                 v = evaluate_array(f, ws[row])
+                out = v if out is None else np.multiply(out, v, out=dst)
             else:
-                q = len(tile) // 2
-                m = min(q, n1 - n0)
-                ws[i, :m] = tile[n0 % q:n0 % q + m]
-                v = _tile(ws[i], m)
-            if out is None:
-                out = v
-            elif i == 1 and spare:
-                # member 0's values may be its points (frac_part), which
-                # member spare reads later: the product takes its free row
-                out = np.multiply(out, v, out=ws[spare])
-            else:
-                out *= v
+                values, w = period
+                s = n0 % (len(values) - w)
+                out = _times_period(values[s:s + w], out, dst)
         return out
 
 
@@ -318,8 +328,8 @@ class ArcJob:
 
     @cached_property
     def _moving(self):
-        """Each moving arc's start point, pulled-back constant and length."""
-        return tuple((UnitPoint.from_real(a), alpha.neg(), length)
+        """Each moving arc's start point, pulled-back ``_orbit`` and length."""
+        return tuple((UnitPoint.from_real(a), _orbit(alpha.neg()), length)
                      for alpha, a, length in self.moving)
 
     def terms(self, n0: int, n1: int) -> np.ndarray:
@@ -328,9 +338,9 @@ class ArcJob:
         # are for the sum
         ws = np.empty((3 * len(self.moving) + 3, n1 - n0))
         arcs = []
-        for i, (x0, alpha, length) in enumerate(self._moving):
+        for i, (x0, orbit, length) in enumerate(self._moving):
             start, end, end1 = ws[3 * i:3 * i + 3]
-            _orbit_block(x0, alpha, n0, n1, ws[3 * i:3 * i + 2])
+            _orbit_block(x0, orbit, n0, n1, ws[3 * i:3 * i + 2])
             np.add(start, length, out=end)
             np.subtract(end, 1.0, out=end1)
             arcs.append((([start], 0.0, [end], 1.0), ([], 0.0, [end1], 1.0)))

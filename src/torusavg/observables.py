@@ -147,7 +147,7 @@ def _trig_poly_values(coeffs, xs: np.ndarray) -> np.ndarray:
     numpy rounds an in-place complex multiply of a one-element array
     through a scalar path that can differ from the array path in the last
     bit, and a value must not depend on the length of the array it is
-    evaluated in (the engine tiles one period)."""
+    evaluated in (the engine repeats one period of values)."""
     a = {0: 0j}
     for k, c, s in coeffs:
         a[abs(k)] = a.get(abs(k), 0j) + complex(c, -s if k > 0 else s if k else 0.0)

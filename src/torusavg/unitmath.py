@@ -48,16 +48,15 @@ def _sqrt_dd(m: int):
 _ROOT_BITS = 128
 
 
-def _surd_dd(b: Fraction, m: int):
-    """b*sqrt(m) in double-double.  From 2**53 up a double-double keeps too
-    few of its fractional bits, and with parts beyond float range it
+def _surd_dd(p: int, q: int, m: int):
+    """(p/q)*sqrt(m) in double-double, p/q in lowest terms.  From 2**53 up a
+    double-double keeps too few fractional bits, and beyond float range it
     overflows, so there it is taken modulo 1, from the integer square root
-    floor(2**_ROOT_BITS * |b|*sqrt(m))."""
-    p, q = b.numerator, b.denominator
+    floor(2**_ROOT_BITS * |p/q|*sqrt(m))."""
     if p * p * m < q * q << 106 and q < 1 << 960:
         return _dd.dd_div_int(_dd.dd_mul_int(_sqrt_dd(m), p), q)
-    r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
-    return _dd.dd_from_fraction(Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1)
+    r, one = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q, 1 << _ROOT_BITS
+    return _dd.dd_from_ratio((r if p > 0 else -r) % one, one)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,8 @@ class ScalarConstant:
         a = self.a
         if abs(a.numerator) >= a.denominator << 53:
             a %= 1
-        return _dd.dd_add(_dd.dd_from_fraction(a), _surd_dd(self.b, self.m))
+        return _dd.dd_add(_dd.dd_from_ratio(*a.as_integer_ratio()),
+                          _surd_dd(*self.b.as_integer_ratio(), self.m))
 
     def neg(self) -> "ScalarConstant":
         return ScalarConstant(-self.a, -self.b, self.m)
@@ -141,15 +141,17 @@ class UnitPoint:
 def orbit_point(x0, alpha: ScalarConstant, n: int) -> UnitPoint:
     """{x0 + n*alpha} via product reduction.
 
-    The rational part n*a reduces modulo 1 exactly and n*b*sqrt(m) is
-    evaluated in double-double (``_surd_dd``), so the error stays at a few
-    ulp for n below 2**53.
+    From Python ints, n*a reduces modulo 1 exactly to (n*p_a mod q_a)/q_a,
+    and n*b*sqrt(m) goes to ``_surd_dd`` as n*b = (n/g*p_b)/(q_b/g), g =
+    gcd(n, q_b), so the error stays at a few ulp for n below 2**53.
     """
     if n < 0:
         raise ValueError("orbit step count must be nonnegative")
     x0 = UnitPoint.from_real(x0)
-    shift = _dd.dd_add(_dd.dd_from_fraction(n * alpha.a % 1),
-                       _surd_dd(n * alpha.b, alpha.m))
+    (pa, qa), (pb, qb) = alpha.a.as_integer_ratio(), alpha.b.as_integer_ratio()
+    g = math.gcd(n, qb)
+    shift = _dd.dd_add(_dd.dd_from_ratio(n * pa % qa, qa),
+                       _surd_dd(n // g * pb, qb // g, alpha.m))
     h, l = _dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift))
     return UnitPoint(h, l)
 

@@ -126,6 +126,20 @@ def test_v_sum_near_a_rounding_midpoint_falls_back(monkeypatch, parts):
     assert_same_as_fsum(a)
 
 
+@pytest.mark.parametrize("n", [320, 4096, 1 << 16])
+@pytest.mark.parametrize("signs", [(0.0,), (-0.0,), (0.0, -0.0)])
+def test_v_sum_of_zeros_is_plus_zero_directly(monkeypatch, n, signs):
+    a = np.resize(np.array(signs), n)
+    expected = struct.pack("<d", math.fsum(a.tolist()))
+
+    def unused(*args):
+        raise AssertionError("an all-zero sum needs neither fsum nor passes")
+
+    monkeypatch.setattr(_dd.math, "fsum", unused)
+    monkeypatch.setattr(_dd, "_sum_passes", unused)
+    assert struct.pack("<d", v_sum(a)) == expected == struct.pack("<d", 0.0)
+
+
 def raising(s, r):
     raise AssertionError("this sum should certify after one pass")
 

@@ -14,8 +14,9 @@ from torusavg.dynsys import (build_family, finite_rotation, rotation,
 from torusavg import _dd, engine
 from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
                              DiagonalJob, Schedule, _block_plan, _grid_split,
-                             _orbit_block, _period, _wrap, birkhoff_average,
-                             correlation_average, multiple_average, run_job,
+                             _orbit, _orbit_block, _period, _wrap,
+                             birkhoff_average, correlation_average,
+                             multiple_average, run_job,
                              triple_intersection_average)
 from torusavg.observables import (evaluate_array, frac_part, indicator,
                                   piecewise_linear, power_of_frac, product,
@@ -28,8 +29,8 @@ SQRT3 = ScalarConstant.surd(0, 1, 3)
 
 
 def orbit_block(x0, c, n0, n1):
-    """engine._orbit_block with a buffer of its own."""
-    return _orbit_block(x0, c, n0, n1, np.empty((2, n1 - n0)))
+    """engine._orbit_block, for c's orbit, with a buffer of its own."""
+    return _orbit_block(x0, _orbit(c), n0, n1, np.empty((2, n1 - n0)))
 
 
 def naive_orbit(x0, alpha_float, n):
@@ -477,6 +478,11 @@ TILED_CONSTANTS = [
     (65536, ScalarConstant.rational(12345, 65536)),
     (65537, ScalarConstant.rational(30000, 65537)),
     (1000003, ScalarConstant.rational(777777, 1000003)),
+    # one view row each side of engine._VIEW = 2**13 wide
+    (8191, ScalarConstant.rational(-1000, 8191)),
+    (8193, ScalarConstant.rational(4097, 8193)),
+    # the largest planned period: a 2**16-term block is one row and 1 term
+    (65535, ScalarConstant.rational(32768, 65535)),
 ]
 
 
@@ -523,26 +529,40 @@ def test_job_plans_members_once(monkeypatch):
         acc.add(math.fsum(untiled_terms(job, n0, n1).tolist()))
         if n1 in job.schedule.checkpoints:
             ref.append(acc.value() / n1)
-    rational, orbits = [], []
+    rational, orbits, periods, steps = [], [], [], []
     rational_points, orbit_block_ = engine.rational_points, engine._orbit_block
+    period, dd = engine._period, ScalarConstant.dd
 
     def counted_rational_points(x0, fr, n0, out):
         rational.append(fr)
         return rational_points(x0, fr, n0, out)
 
-    def counted_orbit_block(x0, c, n0, n1, ws):
-        orbits.append(c)
-        return orbit_block_(x0, c, n0, n1, ws)
+    def counted_orbit_block(x0, orbit, n0, n1, ws):
+        orbits.append(orbit[0])
+        return orbit_block_(x0, orbit, n0, n1, ws)
+
+    def counted_period(c):
+        periods.append(c)
+        return period(c)
+
+    def counted_dd(c):
+        steps.append(c)
+        return dd(c)
 
     monkeypatch.setattr(engine, "rational_points", counted_rational_points)
     monkeypatch.setattr(engine, "_orbit_block", counted_orbit_block)
+    monkeypatch.setattr(engine, "_period", counted_period)
+    monkeypatch.setattr(ScalarConstant, "dd", counted_dd)
     for _ in range(2):
         assert list(run_job(job).values) == ref  # bitwise
     # two runs: the rational members once per job, the orbits of the two
-    # surds once per block
+    # surds once per block; each constant's period and step once per job,
+    # for all the members that share it
     assert sorted(rational) == [Fraction(2, 5), Fraction(5, 12)]
     assert len(blocks) > 16
     assert Counter(orbits) == {SQRT2: 2 * len(blocks), SQRT3: 2 * len(blocks)}
+    assert Counter(periods) == Counter(set(job.constants))
+    assert Counter(steps) == {SQRT2: 1, SQRT3: 1}
 
 
 def former_arc_terms(job, n0, n1):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
 from torusavg.dynsys import build_family
-from torusavg.engine import MAX_N, MIN_RATIO, _orbit_block
+from torusavg.engine import MAX_N, MIN_RATIO, _orbit, _orbit_block
 from torusavg.observables import MAX_FREQUENCY
 from torusavg.oracle import predict
 from torusavg.unitmath import MAX_RADICAND, UnitPoint
@@ -286,5 +286,5 @@ def test_parsed_constant_runs_in_engine_and_oracle(alpha):
     x0, ws = UnitPoint.from_real(sc.x0), np.empty((2, 17))
     for alpha in sc.family:
         for n0 in (0, MAX_N - 17):
-            pts = _orbit_block(x0, alpha, n0, n0 + 17, ws)
+            pts = _orbit_block(x0, _orbit(alpha), n0, n0 + 17, ws)
             assert np.all((pts >= 0.0) & (pts < 1.0))

@@ -5,7 +5,9 @@ digests were taken before the rational members were evaluated once per
 period and tiled, (for the cancelling families) before block sums were
 certified after one ExtractVector pass, and (for ``periods-5-12`` and
 ``shared-sqrt2``) before each job planned its members once and shared the
-orbits of equal constants; each must stay as it is.  A pinned
+orbits of equal constants, and (for ``all-zero-8-12``) before all-zero
+block sums were taken without fsum and rational members multiplied
+through a period view; each must stay as it is.  A pinned
 digest may change only in a change that states why its trace bytes changed.
 """
 
@@ -68,6 +70,12 @@ FAMILIES = {
                         {"kind": "power_of_frac", "p": 2},
                         {"kind": "indicator", "a": 0.25, "b": 0.8}],
         "x0": 0.3},
+    # the product is 0 at every point, so every block sum is of zeros
+    # (``mixed-01-02`` of the benchmark's seed-101 deck)
+    "all-zero-8-12": {
+        "family": [rotation({"rational": {"p": 8, "q": 12}})],
+        "observables": [{"kind": "indicator", "a": 0.776689, "b": 0.952912}],
+        "x0": 0.684331936},
 }
 
 # mean-zero trig_poly members on surd rotations: block sums cancel to O(1),
@@ -125,6 +133,8 @@ PINNED = {
         "7173833f611b8b639b2734bd1a1fcade1d59c5e4fb9fa8db52e0245e283647e1",
     "shared-sqrt2":
         "bf65607f52046f0c8a6f56721ac80c39b638b3f46b66fe0491711754ec798f1a",
+    "all-zero-8-12":
+        "0acf29702aeb44d1330690c4dffe985a480753a773501591cc0774c17cc6e733",
 }
 
 

@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.unitmath import (MAX_RADICAND, CompensatedSum, ScalarConstant,
-                               UnitPoint, frac, orbit_point)
+from torusavg import _dd
+from torusavg.unitmath import (_ROOT_BITS, MAX_RADICAND, CompensatedSum,
+                               ScalarConstant, UnitPoint, frac, orbit_point)
 
 mp.mp.dps = 40
 
@@ -84,6 +86,57 @@ def test_orbit_additivity(m, n):
     b = orbit_point(orbit_point(UnitPoint(0.0), SQRT2, m), SQRT2, n)
     diff = abs((a.value + a.comp) - (b.value + b.comp))
     assert min(diff, 1.0 - diff) <= 1e-12  # distance on the circle
+
+
+def fraction_orbit_point(x0, alpha, n, branches):
+    """The former orbit_point, from Fraction products: n*a % 1 and n*b in
+    lowest terms, and b*sqrt(m) as the former _surd_dd took it; branches
+    records whether b*sqrt(m) took the integer square root."""
+    x0 = UnitPoint.from_real(x0)
+    a, b = n * alpha.a % 1, n * alpha.b
+    p, q, m = b.numerator, b.denominator, alpha.m
+    if p * p * m < q * q << 106 and q < 1 << 960:
+        branches.add("dd")
+        surd = _dd.dd_div_int(_dd.dd_mul_int(_dd.dd_sqrt_int(m), p), q)
+    else:
+        branches.add("isqrt")
+        r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
+        fr = Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1
+        surd = _dd.dd_from_ratio(fr.numerator, fr.denominator)
+    shift = _dd.dd_add(_dd.dd_from_ratio(a.numerator, a.denominator), surd)
+    return UnitPoint(*_dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift)))
+
+
+def test_orbit_point_matches_fraction_formula():
+    # Python-int residues and gcd reduction give the former Fraction
+    # arithmetic's inputs, so every bit, signed zeros included
+    consts = [
+        SQRT2, SQRT3.neg(),
+        ScalarConstant.surd("1/3", "-2/7", 5),
+        ScalarConstant.surd("-5/6", "3/10", 7),
+        ScalarConstant.surd("2/3", "-1/3", 7),
+        ScalarConstant.rational(3, 2 ** 61 + 2),
+        ScalarConstant.rational(-7, 2 ** 61 + 2),
+        ScalarConstant.surd(0, Fraction(-1, 2 ** 61 + 2), 2),
+        ScalarConstant.surd(Fraction(7, 10 ** 400), Fraction(-3, 10 ** 400), 3),
+        ScalarConstant.literal(0.1), ScalarConstant.literal(-0.3),
+        ScalarConstant.surd("1/3", int("1" * 400), 2),
+        ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3),
+    ]
+    # gcd(n, q_b) > 1 at multiples of 2, 5, 7, 17 and 2**40; up to 2**53
+    ns = [0, 1, 2, 3, 5, 6, 7, 10, 14, 34, 35, 70, 10 ** 6, 2 ** 40,
+          7 * 2 ** 40, 2 ** 53 - 1, 2 ** 53]
+    ns += np.random.default_rng(7).integers(0, 2 ** 53, 24).tolist()
+    x0s = [0.0, 0.3, UnitPoint(0.7, -2e-17), 1 - 2 ** -53]
+    branches = set()
+    for c in consts:
+        for x0 in x0s:
+            for n in ns:
+                got = orbit_point(x0, c, n)
+                ref = fraction_orbit_point(x0, c, n, branches)
+                assert (got.value.hex(), got.comp.hex()) == \
+                    (ref.value.hex(), ref.comp.hex()), (c, x0, n)
+    assert branches == {"dd", "isqrt"}
 
 
 # ---------------------------------------------------------------------------
