@@ -13,14 +13,12 @@ the literal 0.1 is exactly 1/10.  A prediction is not applicable when q
 exceeds 2**20 or when the quadratures of a class exceed the panel budget.
 """
 
-from .dynsys import (build_family, finite_rotation, identity, rotation,
-                     rotation_power, weyl_form)
-from .engine import (AverageTrace, Schedule, birkhoff_average,
-                     correlation_average, multiple_average, run_job,
-                     triple_intersection_average)
-from .observables import (Observable, QuadratureSpec, frac_part, indicator,
-                          integrate, piecewise_linear, power_of_frac, product,
-                          trig_poly)
+from .dynsys import (finite_rotation, identity, rotation, rotation_power,
+                     weyl_form)
+from .engine import (AverageTrace, Schedule, intersection_average,
+                     multiple_average, run_job)
+from .observables import (Observable, frac_part, indicator, integrate,
+                          piecewise_linear, power_of_frac, product, trig_poly)
 from .oracle import (ComparisonReport, Prediction, compare, predict,
                      predict_intersection)
 from .unitmath import (CompensatedSum, ScalarConstant, UnitPoint, frac,

@@ -19,13 +19,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dynsys, engine, observables
-from .dynsys import build_family
 from .engine import Schedule
 from .observables import Observable, integrate
 from .oracle import Prediction, compare, predict, predict_intersection
 from .unitmath import ScalarConstant, frac
 
-JOB_KINDS = ("average", "correlation", "triple")
+# each job and the indicator keys it reads: an intersection job pulls back
+# one key per member, and its last key stays put
+JOBS = {"average": "", "correlation": "AB", "triple": "ABC"}
 # n_max * prod_i max(1, max|f_i|) stays below this, so that every term,
 # every partial product of the factors and every sum of terms is finite
 MAX_SCALE = 2.0 ** 1023
@@ -255,8 +256,8 @@ def parse_scenario(text) -> Scenario:
     if name == "":
         errs.append("name: required nonempty string")
     job = get("job", "string", "average")
-    if job is not None and job not in JOB_KINDS:
-        errs.append(f"job: must be one of {JOB_KINDS}, got {job!r}")
+    if job is not None and job not in JOBS:
+        errs.append(f"job: must be one of {tuple(JOBS)}, got {job!r}")
     family = get("family", [TRANSFORMS])
     d = size("family", 1, dynsys.MAX_FAMILY_SIZE)
     obs = get("observables", [OBSERVABLES], None)
@@ -276,8 +277,8 @@ def parse_scenario(text) -> Scenario:
         errs.append(f"workers: must be a positive integer, got {workers!r}")
     override = get("expected_override", "number", None)
 
-    if job in ("correlation", "triple"):
-        want = "AB" if job == "correlation" else "ABC"
+    want = JOBS.get(job, "")
+    if want:
         if d is not None and d != len(want) - 1:
             errs.append(f"family: {job} jobs need exactly {len(want) - 1} "
                         f"transform(s), got {d}")
@@ -296,7 +297,7 @@ def parse_scenario(text) -> Scenario:
 
     if errs:
         raise ScenarioError(errs)
-    if job == "average":
+    if not want:
         indicators = ()
         if periodic is not None:  # one more member, the finite rotation
             g, s_map = periodic
@@ -320,9 +321,9 @@ def parse_scenario(text) -> Scenario:
 
 
 def _prediction_for(sc: Scenario) -> Prediction:
-    if sc.job == "average":
-        return predict(build_family(sc.family), sc.observables, sc.x0)
-    return predict_intersection(sc.family, sc.indicators)
+    if sc.indicators:
+        return predict_intersection(sc.family, sc.indicators)
+    return predict(sc.family, sc.observables, sc.x0)
 
 
 def _prediction_json(pred: Prediction) -> dict:
@@ -332,14 +333,11 @@ def _prediction_json(pred: Prediction) -> dict:
 
 
 def _trace_for(sc: Scenario):
-    if sc.job == "average":
-        return engine.multiple_average(build_family(sc.family), sc.observables,
-                                       sc.x0, sc.schedule)
-    if sc.job == "correlation":
-        return engine.correlation_average(sc.family[0], *sc.indicators,
-                                          sc.schedule)
-    return engine.triple_intersection_average(*sc.family, *sc.indicators,
-                                              sc.schedule)
+    if sc.indicators:
+        return engine.intersection_average(sc.family, sc.indicators,
+                                           sc.schedule)
+    return engine.multiple_average(sc.family, sc.observables, sc.x0,
+                                   sc.schedule)
 
 
 def trace_csv(trace) -> str:
@@ -356,7 +354,7 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
     """Execute a scenario, write <name>.trace.csv and <name>.report.json,
     and return the process exit status."""
     pred = _prediction_for(sc)
-    if sc.expected_override is not None:
+    if sc.expected_override is not None:  # compared whatever the oracle said
         pred = dataclasses.replace(pred, value=sc.expected_override)
     trace = _trace_for(sc)
     report = {
@@ -368,7 +366,7 @@ def run_scenario(sc: Scenario, outdir=".") -> int:
         "est_tail": trace.est_tail,
         "tolerance": sc.tolerance,
     }
-    if pred.applicable:
+    if pred.value is not None:
         rep = compare(pred, trace, sc.tolerance)
         report["final_error"] = rep.final_error
         report["passed"] = rep.passed
@@ -412,14 +410,14 @@ def _row(name, measured, expected, tol):
 
 
 def distinct_rotations(sched, tol_scale):
-    fam = build_family([_R2, _R3])
+    fam = (_R2, _R3)
     return [_row(f"distinct-rotations x0={x0}",
                  engine.multiple_average(fam, [_FP, _FP], x0, sched).final,
                  0.25, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
 
 
 def repeated_rotation(sched, tol_scale):
-    fam = build_family([_R2, _R2])
+    fam = (_R2, _R2)
     return [_row(f"repeated-rotation x0={x0}",
                  engine.multiple_average(fam, [_FP, _FP], x0, sched).final,
                  1 / 3, 2e-3 * tol_scale) for x0 in (0.0, 0.3, 0.77)]
@@ -427,15 +425,14 @@ def repeated_rotation(sched, tol_scale):
 
 def periodic_factor(sched, tol_scale):
     return [_row(f"periodic-factor k={k} x0={x0}",
-                 engine.multiple_average(
-                     build_family([_R2, dynsys.finite_rotation(k)]), [_FP, _FP],
-                     x0, sched).final,
+                 engine.multiple_average((_R2, dynsys.finite_rotation(k)),
+                                         (_FP, _FP), x0, sched).final,
                  frac(k * x0) / (2 * k) + (k - 1) / (4 * k), 2e-3 * tol_scale)
             for k in (2, 3, 5) for x0 in (0.1, 0.37)]
 
 
 def birkhoff_frac_part(sched, tol_scale):
-    tr = engine.birkhoff_average(_R2, _FP, 0.3, sched)
+    tr = engine.multiple_average((_R2,), (_FP,), 0.3, sched)
     return [_row("birkhoff frac-part", tr.final, 0.5, 1e-3 * tol_scale)]
 
 
@@ -443,8 +440,8 @@ def shifted_frac_identity(sched, tol_scale):
     # predict averages {x0 + r/k} over r < k for the finite member, and
     # sum_{r<k} {x + r/k} = {kx} + (k - 1)/2 gives the closed form
     xs = [i / 20 for i in range(20)] + [1 / 3, 0.37, 1.0 - 2.0 ** -53]
-    worst = max(abs(predict(build_family([_R2, dynsys.finite_rotation(k)]),
-                            [_FP, _FP], x0).value
+    worst = max(abs(predict((_R2, dynsys.finite_rotation(k)), (_FP, _FP),
+                            x0).value
                     - (frac(k * x0) / (2 * k) + (k - 1) / (4 * k)))
                 for k in range(1, 65) for x0 in xs)
     return [_row("shifted-frac identity in predict (max dev)", worst, 0.0,
@@ -453,18 +450,18 @@ def shifted_frac_identity(sched, tol_scale):
 
 def correlation_diagnostic(sched, tol_scale):
     A, B = observables.indicator(0.0, 0.3), observables.indicator(0.2, 0.7)
-    tr = engine.correlation_average(_R2, A, B, sched)
+    tr = engine.intersection_average((_R2,), (A, B), sched)
     # refutation path: the identity map keeps len(A n B) = 0.5, far from the
     # product 0.25 that an ergodic limit would demand
     half = observables.indicator(0.0, 0.5)
-    ctl = engine.correlation_average(dynsys.identity(), half, half, sched)
+    ctl = engine.intersection_average((dynsys.identity(),), (half,) * 2, sched)
     return [_row("correlation sqrt2", tr.final, 0.15, 5e-3 * tol_scale),
             _row("identity-map control (non-ergodic)", ctl.final, 0.5, 1e-12)]
 
 
 def triple_intersection(sched, tol_scale):
     half = observables.indicator(0.0, 0.5)
-    tr = engine.triple_intersection_average(_R2, _R3, half, half, half, sched)
+    tr = engine.intersection_average((_R2, _R3), (half,) * 3, sched)
     return [_row("triple intersection", tr.final, 0.125, 5e-3 * tol_scale)]
 
 
@@ -485,8 +482,8 @@ def randomized_oracle_cross_validation(sched, tol_scale):
     worst = 0.0
     for _ in range(10):
         radicands = rng.sample((2, 3, 5), 2)
-        fam = build_family([_random_member(rng, radicands)
-                            for _ in range(rng.choice((2, 3)))])
+        fam = tuple(_random_member(rng, radicands)
+                    for _ in range(rng.choice((2, 3))))
         fs = [observables.trig_poly(
             [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(6)])
             for _ in fam]
@@ -524,21 +521,18 @@ def group_collapse_equivalence(sched, tol_scale):
     worst = 0.0
     for _ in range(50):
         f1, f2 = _random_observable(rng), _random_observable(rng)
-        p_pair = predict(build_family([_R2, _R2]), [f1, f2])
-        p_prod = predict(build_family([_R2]), [observables.product(f1, f2)])
+        p_pair = predict((_R2, _R2), (f1, f2))
+        p_prod = predict((_R2,), (observables.product(f1, f2),))
         worst = max(worst, abs(p_pair.value - p_prod.value))
     return [_row("group-collapse equivalence (max dev)", worst, 0.0, 1e-12)]
 
 
 def repeat_run_determinism(sched, tol_scale):
     jobs = (
-        lambda: engine.multiple_average(build_family([_R2, _R3]), [_FP, _FP],
-                                        0.3, sched),
-        lambda: engine.multiple_average(build_family([_R2, _R2]), [_FP, _FP],
-                                        0.3, sched),
-        lambda: engine.multiple_average(
-            build_family([_R2, dynsys.finite_rotation(3)]), [_FP, _FP], 0.37,
-            sched),
+        lambda: engine.multiple_average((_R2, _R3), (_FP, _FP), 0.3, sched),
+        lambda: engine.multiple_average((_R2, _R2), (_FP, _FP), 0.3, sched),
+        lambda: engine.multiple_average((_R2, dynsys.finite_rotation(3)),
+                                        (_FP, _FP), 0.37, sched),
     )
     repeats = all(job().values == job().values for job in jobs)
     return [_row("repeat-run determinism", 0.0 if repeats else 1.0, 0.0, 0.0)]
@@ -632,6 +626,10 @@ def main(argv=None) -> int:
 
     n_max = args.nmax if args.nmax is not None else (10 ** 5 if args.quick
                                                      else 10 ** 6)
+    if not 1 <= n_max <= engine.MAX_N:
+        print(f"--nmax must be in [1, {engine.MAX_N}], got {n_max}",
+              file=sys.stderr)
+        return 2
     tol_scale = 3.0 if args.quick else 1.0
     rows, ok = verify_builtin(n_max=n_max, tol_scale=tol_scale)
     print_rows(rows)

@@ -65,13 +65,3 @@ def weyl_form(ks) -> tuple[WeylTerm, ...]:
     return tuple(WeylTerm(k.a, int(k.b / beta[k.m]) if k.b else 0, k.m)
                  for k in ks)
 
-
-def build_family(ks) -> tuple[ScalarConstant, ...]:
-    """A family of at most MAX_PRODUCT_FACTORS members, one observable each:
-    a scenario's family and its periodic factor."""
-    ks = tuple(ks)
-    if not ks:
-        raise ValueError("family must be nonempty")
-    if len(ks) > MAX_PRODUCT_FACTORS:
-        raise ValueError(f"family size capped at {MAX_PRODUCT_FACTORS}")
-    return ks

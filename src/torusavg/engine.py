@@ -378,43 +378,26 @@ def run_job(job) -> AverageTrace:
     return AverageTrace(job.schedule, tuple(values), values[-1], est_tail)
 
 
-def birkhoff_average(t: ScalarConstant, f: Observable, x0, s: Schedule) -> AverageTrace:
-    """(1/N) sum_{n<N} f(T^n x0) at every checkpoint."""
-    job = DiagonalJob((t,), (f,), UnitPoint.from_real(x0), s)
-    return run_job(job)
-
-
 def multiple_average(fam, fs, x0, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} prod_i f_i(T_i^n x0) for the family's constants."""
     fam, fs = tuple(fam), tuple(fs)
+    if not fam:
+        raise ValueError("family must be nonempty")
     if len(fs) != len(fam):
         raise ValueError(f"{len(fs)} observables for {len(fam)} transformations")
     job = DiagonalJob(fam, fs, UnitPoint.from_real(x0), s)
     return run_job(job)
 
 
-def _require_indicator(f: Observable, name: str):
-    if f.kind != "indicator":
-        raise ValueError(f"{name} must be an indicator observable")
-    a, b = f.params
-    return a, b - a
-
-
-def correlation_average(t: ScalarConstant, A: Observable, B: Observable,
-                        s: Schedule) -> AverageTrace:
-    """(1/N) sum_{n<N} len(T^-n A ∩ B), each term exact."""
-    a, la = _require_indicator(A, "A")
-    b, lb = _require_indicator(B, "B")
-    job = ArcJob(((t, a, la),), ((b, lb),), s)
-    return run_job(job)
-
-
-def triple_intersection_average(t1: ScalarConstant, t2: ScalarConstant,
-                                A: Observable, B: Observable, C: Observable,
-                                s: Schedule) -> AverageTrace:
-    """(1/N) sum_{n<N} len(T1^-n A ∩ T2^-n B ∩ C)."""
-    a, la = _require_indicator(A, "A")
-    b, lb = _require_indicator(B, "B")
-    c, lc = _require_indicator(C, "C")
-    job = ArcJob(((t1, a, la), (t2, b, lb)), ((c, lc),), s)
+def intersection_average(fam, indicators, s: Schedule) -> AverageTrace:
+    """(1/N) sum_{n<N} len(T1^-n A1 ∩ ... ∩ Td^-n Ad ∩ C), each term exact:
+    member i pulls back indicator i, and the last indicator C stays put."""
+    fam = tuple(fam)
+    if not fam or len(indicators) != len(fam) + 1:
+        raise ValueError(f"need a nonempty family and one indicator more than "
+                         f"its {len(fam)} members, got {len(indicators)}")
+    if any(f.kind != "indicator" for f in indicators):
+        raise ValueError("intersection averages take indicator observables")
+    arcs = [(a, b - a) for a, b in (f.params for f in indicators)]
+    job = ArcJob(tuple((t, *arc) for t, arc in zip(fam, arcs)), (arcs[-1],), s)
     return run_job(job)

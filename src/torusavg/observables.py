@@ -26,6 +26,10 @@ MAX_FREQUENCY = 1 << 20
 # points per Horner pass, for three complex buffers of 128 KB: the fastest of
 # 2**11 to 2**14 and of whole 2**16-point blocks
 _HORNER_CHUNK = 1 << 13
+# quadrature (integrate): the least uniform panels, Gauss-Legendre nodes per
+# panel, and the most panels of one call
+_PANELS = 4096
+_NODES = 8
 _PANEL_BUDGET = 1 << 20
 
 
@@ -198,18 +202,6 @@ _VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    panels: int = 4096
-    nodes_per_panel: int = 8
-
-    def __post_init__(self):
-        if self.panels < 1 or self.nodes_per_panel < 1:
-            raise ValueError("panels and nodes must be positive")
-        if self.panels * self.nodes_per_panel > 1 << 24:
-            raise ValueError("quadrature spec exceeds node budget")
-
-
 @lru_cache(maxsize=None)
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -225,11 +217,11 @@ def _preimages(b: float, s: float, c: int):
     return (t for t in ((k + u) / c for k in ks) if 0.0 < t < 1.0)
 
 
-def integrate(fs, q: QuadratureSpec | None = None, maps=None):
+def integrate(fs, maps=None):
     """Integral over t in [0, 1] of prod_i f_i({s_i + c_i*t}), by
-    Gauss-Legendre panels split at every breakpoint mapped back through
-    t -> s_i + c_i*t, and at least two uniform panels per period of the
-    highest frequency sum_i |c_i| k_i.  ``maps`` gives one (s_i, c_i), c_i
+    Gauss-Legendre panels of _NODES nodes split at every breakpoint mapped
+    back through t -> s_i + c_i*t, over _PANELS uniform panels or two per
+    period of the highest frequency sum_i |c_i| k_i, if more.  ``maps`` gives one (s_i, c_i), c_i
     an integer, per observable; the default (0, 1) integrates the product
     itself.  Shifts s_i given as arrays of one length p give the p integrals
     as an array; the panel budget bounds the panels of all p together, so
@@ -237,28 +229,27 @@ def integrate(fs, q: QuadratureSpec | None = None, maps=None):
     fs = list(fs)
     if not 1 <= len(fs) <= MAX_PRODUCT_FACTORS:
         raise ValueError(f"integrate takes 1..{MAX_PRODUCT_FACTORS} observables")
-    q = q or QuadratureSpec()
     maps = [(0.0, 1)] * len(fs) if maps is None else list(maps)
     shifts = np.array([s for s, _ in maps], dtype=np.float64)
     cs = [c for _, c in maps]
-    uniform = max(q.panels, 2 * sum(abs(c) * f.frequency for f, c in zip(fs, cs)))
+    uniform = max(_PANELS, 2 * sum(abs(c) * f.frequency for f, c in zip(fs, cs)))
     panels = uniform + sum(abs(c) * len(f.breakpoints) for f, c in zip(fs, cs))
     total = panels * shifts[0].size
     if total > _PANEL_BUDGET:
         raise QuadratureBudgetError(
             f"up to {total} panels after refinement exceeds {_PANEL_BUDGET}")
-    out = [_integrate_panels(fs, uniform, q.nodes_per_panel, ss, cs)
+    out = [_integrate_panels(fs, uniform, ss, cs)
            for ss in shifts.reshape(len(fs), -1).T]
     return out[0] if shifts.ndim == 1 else np.array(out)
 
 
-def _integrate_panels(fs, uniform: int, nodes: int, shifts, cs) -> float:
+def _integrate_panels(fs, uniform: int, shifts, cs) -> float:
     edges = np.sort(np.concatenate(
         [np.arange(uniform + 1) / uniform]
         + [np.fromiter(_preimages(b, s, c), float)
            for f, s, c in zip(fs, shifts, cs) for b in f.breakpoints]))
     edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
-    x, w = _gl_nodes(nodes)
+    x, w = _gl_nodes(_NODES)
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()

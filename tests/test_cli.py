@@ -67,6 +67,17 @@ def test_parse_length_mismatch_names_both_lengths():
     assert any("length 3" in m and "length 1" in m for m in exc.value.errors)
 
 
+@pytest.mark.parametrize("d", [0, 9])
+def test_parse_refuses_family_sizes(d):
+    # at most 8 members: a periodic factor is a ninth inside the program
+    doc = dict(json.loads(MINIMAL),
+               family=[{"kind": "rotation", "alpha": {"surd": {"m": 2}}}] * d,
+               observables=[{"kind": "frac_part"}] * d)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert f"family: need 1 to 8 entries, got {d}" in exc.value.errors
+
+
 def test_parse_refuses_orbits_beyond_float64_indices():
     for schedule in ({"n_max": 2 ** 53 + 1}, {"checkpoints": [10, 2 ** 53 + 1]}):
         bad = json.loads(MINIMAL)
@@ -240,15 +251,6 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert report["n_max"] == 20000
 
 
-def test_run_scenario_negative_control_fails(tmp_path):
-    sc = small(json.loads(MINIMAL), name="control",
-               schedule={"checkpoints": [10, 20000]},
-               expected_override=0.75, tolerance=0.01)
-    assert run_scenario(sc, tmp_path) == 1
-    report = json.loads((tmp_path / "control.report.json").read_text())
-    assert report["passed"] is False
-
-
 INAPPLICABLE = json.dumps({
     "name": "inapplicable",
     "family": [{"kind": "rotation", "alpha": {"surd": {"m": 2}}},
@@ -257,6 +259,26 @@ INAPPLICABLE = json.dumps({
     "schedule": {"checkpoints": [1000]},
     "tolerance": 0.01,
 })
+
+
+def test_run_scenario_negative_control_fails(tmp_path):
+    # an override is compared whether or not the oracle applies; the
+    # inapplicable family measures about 0.333
+    minimal = dict(json.loads(MINIMAL), schedule={"checkpoints": [10, 20000]})
+    for doc, applicable, override, status in (
+            (minimal, True, 0.75, 1),
+            (json.loads(INAPPLICABLE), False, 0.9, 1),
+            (json.loads(INAPPLICABLE), False, 0.333, 0)):
+        sc = small(doc, name="control", expected_override=override,
+                   tolerance=0.01)
+        assert run_scenario(sc, tmp_path) == status
+        report = json.loads((tmp_path / "control.report.json").read_text())
+        assert report["passed"] is (status == 0)
+        assert report["final_error"] == abs(report["measured"] - override)
+        pred = report["prediction"]
+        assert pred["value"] == override
+        assert pred["applicable"] is applicable
+        assert bool(pred["caveats"]) is not applicable
 
 
 def _strict_json(text):
@@ -533,6 +555,13 @@ def test_verify_builtin_small_n():
     assert by_name["weyl form (sqrt2, sqrt8) -> c = (1, 2) over sqrt2"]["passed"]
     assert by_name["weyl form (sqrt2, sqrt3) -> distinct radicands"]["passed"]
     assert by_name["quadrature int {x}"]["passed"]
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 53 + 1])
+def test_main_verify_refuses_nmax_out_of_range(capsys, n):
+    assert main(["verify", "--nmax", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"--nmax must be in [1, {2 ** 53}], got {n}\n"
 
 
 def test_main_verify_quick_smoke(capsys):

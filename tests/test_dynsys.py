@@ -4,8 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (MAX_FAMILY_SIZE, WeylTerm, build_family,
-                             finite_rotation, identity, rotation,
+from torusavg.dynsys import (WeylTerm, finite_rotation, identity, rotation,
                              rotation_power, weyl_form)
 from torusavg.unitmath import ScalarConstant, UnitPoint, orbit_point
 
@@ -142,15 +141,6 @@ def test_weyl_form_keeps_integer_shifts_as_rational_parts():
 def test_weyl_form_finite_vs_rational():
     assert weyl_form([finite_rotation(3), rotation(ScalarConstant.rational(1, 3))]) == (
         WeylTerm(Fraction(1, 3), 0, 1),) * 2
-
-
-def test_family_size_limits():
-    # a scenario's family and its periodic factor
-    assert build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 1)) == (SQRT2,) * 9
-    with pytest.raises(ValueError):
-        build_family([])
-    with pytest.raises(ValueError):
-        build_family([rotation(SQRT2)] * (MAX_FAMILY_SIZE + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.dynsys import (build_family, finite_rotation, rotation,
-                             rotation_power)
+from torusavg.dynsys import finite_rotation, rotation, rotation_power
 from torusavg import _dd, engine
 from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
                              DiagonalJob, Schedule, _block_plan, _grid_split,
                              _orbit, _orbit_block, _period, _wrap,
-                             birkhoff_average, correlation_average,
-                             multiple_average, run_job,
-                             triple_intersection_average)
+                             intersection_average, multiple_average, run_job)
 from torusavg.observables import (evaluate_array, frac_part, indicator,
                                   piecewise_linear, power_of_frac, product,
                                   trig_poly)
@@ -98,7 +95,7 @@ def test_geometric_schedule_shape():
 
 def test_birkhoff_matches_naive():
     sch = Schedule((3, 10, 57, 200))
-    tr = birkhoff_average(rotation(SQRT2), frac_part(), 0.3, sch)
+    tr = multiple_average([rotation(SQRT2)], [frac_part()], 0.3, sch)
     for n, v in zip(sch.checkpoints, tr.values):
         ref = naive_average(0.3, [math.sqrt(2)], [frac_part()], n)
         assert v == pytest.approx(ref, abs=1e-12)
@@ -107,7 +104,7 @@ def test_birkhoff_matches_naive():
 
 
 def test_multiple_average_matches_naive():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
+    fam = [rotation(SQRT2), rotation(SQRT3)]
     fs = [frac_part(), power_of_frac(2)]
     sch = Schedule((11, 100, 333))
     tr = multiple_average(fam, fs, 0.125, sch)
@@ -117,7 +114,7 @@ def test_multiple_average_matches_naive():
 
 
 def test_multiple_average_with_rational_member():
-    fam = build_family([finite_rotation(2), rotation(SQRT2)])
+    fam = [finite_rotation(2), rotation(SQRT2)]
     fs = [indicator(0.0, 0.5), frac_part()]
     sch = Schedule((97, 500))
     tr = multiple_average(fam, fs, 0.35, sch)
@@ -128,13 +125,13 @@ def test_multiple_average_with_rational_member():
 def test_finite_rotation_average_exact_value():
     # T: x -> x + 1/2 from x0 = 0.35 visits {0.35, 0.85}; average of {x} = 0.6
     sch = Schedule((100,))
-    tr = birkhoff_average(finite_rotation(2), frac_part(), 0.35, sch)
+    tr = multiple_average([finite_rotation(2)], [frac_part()], 0.35, sch)
     assert tr.final == pytest.approx(0.6, abs=1e-15)
 
 
 def test_periodic_factor_average_matches_naive():
     # a periodic factor is one more member, a finite rotation
-    fam = build_family([rotation(SQRT2), finite_rotation(3)])
+    fam = [rotation(SQRT2), finite_rotation(3)]
     g = trig_poly([(1, 1.0, 0.0)])
     sch = Schedule((250,))
     tr = multiple_average(fam, [frac_part(), g], 0.2, sch)
@@ -146,17 +143,19 @@ def test_periodic_factor_average_matches_naive():
 
 
 def test_periodic_factor_constant_g_degenerates():
-    fam = build_family([rotation(SQRT2), finite_rotation(4)])
+    fam = [rotation(SQRT2), finite_rotation(4)]
     sch = Schedule((10, 400))
     a = multiple_average(fam, [frac_part(), trig_poly([(0, 1.0, 0.0)])], 0.3, sch)
-    b = birkhoff_average(rotation(SQRT2), frac_part(), 0.3, sch)
+    b = multiple_average([rotation(SQRT2)], [frac_part()], 0.3, sch)
     assert a.values == pytest.approx(b.values, abs=1e-14)
 
 
 def test_observable_count_mismatch():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
-    with pytest.raises(ValueError):
-        multiple_average(fam, [frac_part()], 0.0, Schedule((10,)))
+    # one observable per member, of a nonempty family
+    for fam, fs in (([rotation(SQRT2), rotation(SQRT3)], [frac_part()]),
+                    ([], [])):
+        with pytest.raises(ValueError):
+            multiple_average(fam, fs, 0.0, Schedule((10,)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +164,9 @@ def test_observable_count_mismatch():
 
 def test_prefix_property():
     # a longer schedule reproduces the shorter one's values exactly
-    long = multiple_average(build_family([rotation(SQRT2)]), [frac_part()],
+    long = multiple_average([rotation(SQRT2)], [frac_part()],
                             0.3, Schedule((10, 100, 1000, 5000)))
-    short = multiple_average(build_family([rotation(SQRT2)]), [frac_part()],
+    short = multiple_average([rotation(SQRT2)], [frac_part()],
                              0.3, Schedule((10, 100, 1000)))
     assert long.values[:3] == short.values
 
@@ -188,7 +187,7 @@ def test_chunk_size_invariance(monkeypatch):
 
 
 def test_average_bounded_by_observable_range():
-    fam = build_family([rotation(SQRT2)])
+    fam = [rotation(SQRT2)]
     for f in (trig_poly([(0, 0.5, 0.0), (2, 1.0, -1.0)]),
               product(piecewise_linear([(0.0, -2.0), (0.5, 3.0)]),
                       trig_poly([(1, 1.0, 0.0)]))):
@@ -199,7 +198,7 @@ def test_average_bounded_by_observable_range():
 
 def test_cesaro_stability():
     # consecutive running averages differ by at most (range)/(N+1)
-    tr = birkhoff_average(rotation(SQRT2), frac_part(), 0.0,
+    tr = multiple_average([rotation(SQRT2)], [frac_part()], 0.0,
                           Schedule(tuple(range(100, 111))))
     for (n0, v0), (n1, v1) in zip(zip(tr.schedule.checkpoints, tr.values),
                                   zip(tr.schedule.checkpoints[1:], tr.values[1:])):
@@ -628,7 +627,7 @@ def test_arc_terms_match_product_of_intervals(moving, fixed):
 def test_correlation_matches_grid_oracle():
     sch = Schedule((40,))
     A, B = indicator(0.1, 0.45), indicator(0.3, 0.8)
-    tr = correlation_average(rotation(SQRT2), A, B, sch)
+    tr = intersection_average([rotation(SQRT2)], [A, B], sch)
     total = 0.0
     for n in range(40):
         shift = frac(0.1 - n * math.sqrt(2))
@@ -640,8 +639,8 @@ def test_correlation_matches_grid_oracle():
 def test_correlation_terms_exact_for_rational_rotation():
     # T: x -> x + 1/4, A = B = [0, 0.25): intersection alternates 0.25, 0, 0, 0
     sch = Schedule((4, 8, 400))
-    tr = correlation_average(finite_rotation(4), indicator(0.0, 0.25),
-                             indicator(0.0, 0.25), sch)
+    tr = intersection_average([finite_rotation(4)],
+                              [indicator(0.0, 0.25)] * 2, sch)
     assert tr.values[0] == pytest.approx(0.25 / 4, abs=1e-15)
     assert tr.final == pytest.approx(0.0625, abs=1e-15)
 
@@ -649,8 +648,8 @@ def test_correlation_terms_exact_for_rational_rotation():
 def test_triple_intersection_matches_grid_oracle():
     sch = Schedule((25,))
     A, B, C = indicator(0.0, 0.5), indicator(0.2, 0.9), indicator(0.1, 0.6)
-    tr = triple_intersection_average(rotation(SQRT2), rotation(SQRT3),
-                                     A, B, C, sch)
+    tr = intersection_average([rotation(SQRT2), rotation(SQRT3)], [A, B, C],
+                              sch)
     total = 0.0
     for n in range(25):
         sa = frac(0.0 - n * math.sqrt(2))
@@ -660,19 +659,23 @@ def test_triple_intersection_matches_grid_oracle():
 
 
 def test_arc_jobs_require_indicators():
-    sch = Schedule((10,))
-    with pytest.raises(ValueError):
-        correlation_average(rotation(SQRT2), frac_part(),
-                            indicator(0.0, 0.5), sch)
-    with pytest.raises(ValueError):
-        triple_intersection_average(rotation(SQRT2), rotation(SQRT3),
-                                    indicator(0.0, 0.5), indicator(0.0, 0.5),
-                                    frac_part(), sch)
+    half = indicator(0.0, 0.5)
+    # a non-indicator at each position
+    bad = [([SQRT2], [half] * i + [frac_part()] + [half] * (1 - i))
+           for i in range(2)]
+    bad += [([SQRT2, SQRT3], [half] * i + [frac_part()] + [half] * (2 - i))
+            for i in range(3)]
+    # a count other than one more than the members, and an empty family
+    bad += [([SQRT2], [half]), ([SQRT2], [half] * 3),
+            ([SQRT2, SQRT3], [half] * 2), ([], [half]), ([], [])]
+    for fam, fs in bad:
+        with pytest.raises(ValueError):
+            intersection_average(fam, fs, Schedule((10,)))
 
 
 def test_wraparound_arc_lengths():
     # pulled-back arc wraps 0; every term still lies in [0, min-length]
     sch = Schedule.geometric(2000)
-    tr = correlation_average(rotation(SQRT2), indicator(0.9, 1.0),
-                             indicator(0.0, 0.2), sch)
+    tr = intersection_average([rotation(SQRT2)],
+                              [indicator(0.9, 1.0), indicator(0.0, 0.2)], sch)
     assert all(0.0 <= v <= 0.1 + 1e-15 for v in tr.values)

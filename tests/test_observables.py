@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from torusavg.observables import (MAX_FREQUENCY, MAX_PRODUCT_FACTORS, Observable,
-                                  QuadratureBudgetError, QuadratureSpec,
-                                  evaluate_array, frac_part, indicator, integrate,
+                                  QuadratureBudgetError, evaluate_array,
+                                  frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, product,
                                   trig_poly)
 from torusavg.unitmath import UnitPoint
@@ -246,11 +246,12 @@ def test_integrate_shift_arrays():
     assert got.shape == (3,)
     for r in range(3):
         assert got[r] == integrate(fs, maps=[(s[r], c) for s, c in zip(shifts, cs)])
-    # the budget bounds the panels of all shifts together
-    q = QuadratureSpec(panels=1 << 16, nodes_per_panel=2)
-    many = np.zeros(16)
+    # the budget bounds the panels of all shifts together: 4,097 panels
+    # each, so 256 shifts make 1,048,832, past 2**20, and 255 do not
     with pytest.raises(QuadratureBudgetError):
-        integrate([frac_part()], q, [(many, 1)])
+        integrate([frac_part()], maps=[(np.zeros(256), 1)])
+    assert integrate([frac_part()], maps=[(np.zeros(255), 1)]) == pytest.approx(
+        np.full(255, 0.5), abs=1e-15)
 
 
 def test_integrate_random_indicators_tight():
@@ -275,15 +276,11 @@ def test_integrate_product_wrapper_consistent():
 
 
 def test_quadrature_budget():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=1 << 22, nodes_per_panel=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
     # a breakpoint-heavy observable pushed past the panel budget
     dense = Observable("indicator", params=(0.0, 1.0),
                        breakpoints=tuple(np.linspace(0.001, 0.999, (1 << 20) + 2)))
     with pytest.raises(QuadratureBudgetError):
-        integrate([dense], QuadratureSpec(panels=4, nodes_per_panel=2))
+        integrate([dense])
 
 
 def test_integrate_argument_limits():

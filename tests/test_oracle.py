@@ -5,13 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (WeylTerm, build_family, finite_rotation,
-                             rotation, rotation_power)
+from torusavg.dynsys import (WeylTerm, finite_rotation, rotation,
+                             rotation_power)
 from torusavg.engine import Schedule, multiple_average
 from torusavg import oracle
-from torusavg.observables import (QuadratureSpec, frac_part, indicator,
-                                  integrate, piecewise_linear, power_of_frac,
-                                  trig_poly)
+from torusavg.observables import (frac_part, indicator, integrate,
+                                  piecewise_linear, power_of_frac, trig_poly)
 from torusavg.observables import MAX_PRODUCT_FACTORS
 from torusavg.oracle import Factor, _shift_period, compare, predict
 from torusavg.unitmath import ScalarConstant
@@ -26,7 +25,7 @@ SQRT5 = ScalarConstant.surd(0, 1, 5)
 
 
 def test_predict_distinct_rotations_factorizes():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
+    fam = [rotation(SQRT2), rotation(SQRT3)]
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(0.25, abs=1e-13)
@@ -36,7 +35,7 @@ def test_predict_distinct_rotations_factorizes():
 
 
 def test_predict_repeated_rotation_couples():
-    fam = build_family([rotation(SQRT2), rotation(SQRT2)])
+    fam = [rotation(SQRT2), rotation(SQRT2)]
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(1 / 3, abs=1e-12)
@@ -45,7 +44,7 @@ def test_predict_repeated_rotation_couples():
 
 
 def test_predict_three_distinct_rotations():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3), rotation(SQRT5)])
+    fam = [rotation(SQRT2), rotation(SQRT3), rotation(SQRT5)]
     pred = predict(fam, [frac_part()] * 3)
     assert pred.applicable
     assert pred.value == pytest.approx(0.125, abs=1e-13)
@@ -53,7 +52,7 @@ def test_predict_three_distinct_rotations():
 
 def test_predict_with_periodic_factor():
     # limit = (int {x}) * ((1/k) sum_r g(x0 + r/k)); k = 5, x0 = 0.37 gives 0.285
-    fam = build_family([rotation(SQRT2), finite_rotation(5)])
+    fam = [rotation(SQRT2), finite_rotation(5)]
     pred = predict(fam, [frac_part(), frac_part()], 0.37)
     assert pred.applicable
     assert pred.value == pytest.approx(0.285, abs=1e-13)
@@ -63,8 +62,8 @@ def test_predict_with_periodic_factor():
 def test_predict_rational_shift_couples_by_residue():
     # members differ by the rational 1/2: G[0] = int {t}^2 = 1/3 and
     # G[1] = int {t}{t + 1/2} = 5/24, so the limit is (1/3 + 5/24)/2 = 13/48
-    fam = build_family([rotation(SQRT2),
-                        rotation(ScalarConstant.surd("1/2", 1, 2))])
+    fam = [rotation(SQRT2),
+           rotation(ScalarConstant.surd("1/2", 1, 2))]
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(13 / 48, abs=1e-12)
@@ -73,7 +72,7 @@ def test_predict_rational_shift_couples_by_residue():
 
 def test_predict_integer_shift_acts_as_the_same_rotation():
     # alpha and alpha + 1 act identically on the circle
-    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))])
+    fam = [rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))]
     pred = predict(fam, [frac_part(), frac_part()])
     assert pred.applicable
     assert pred.value == pytest.approx(1 / 3, abs=1e-12)
@@ -82,8 +81,8 @@ def test_predict_integer_shift_acts_as_the_same_rotation():
 def test_predict_unresolved_literal_is_inapplicable():
     # the literal is 41421356237309515/10**17 = 8284271247461903/(2*10**16),
     # a period above MAX_PERIOD
-    fam = build_family([rotation(SQRT2),
-                        rotation(ScalarConstant.literal(math.sqrt(2) - 1))])
+    fam = [rotation(SQRT2),
+           rotation(ScalarConstant.literal(math.sqrt(2) - 1))]
     pred = predict(fam, [frac_part(), frac_part()])
     assert not pred.applicable and pred.value is None
     assert pred.caveats == (f"period {2 * 10 ** 16} exceeds {oracle.MAX_PERIOD}",)
@@ -93,7 +92,7 @@ def test_predict_unresolved_literal_is_inapplicable():
 
 def test_predict_literal_proven_rational():
     # the literal 0.25 is 1/4: the orbit {0.1 + j/4} has mean 0.475
-    fam = build_family([rotation(SQRT2), rotation(ScalarConstant.literal(0.25))])
+    fam = [rotation(SQRT2), rotation(ScalarConstant.literal(0.25))]
     pred = predict(fam, [frac_part(), frac_part()], 0.1)
     assert pred.applicable
     assert pred.value == pytest.approx(0.5 * 0.475, abs=1e-15)
@@ -110,7 +109,7 @@ def test_predict_literal_proven_rational():
     (12.0, 0.0),
 ])
 def test_predict_literal_means_its_decimal(v, value):
-    pred = predict(build_family([rotation(ScalarConstant.literal(v))]),
+    pred = predict([rotation(ScalarConstant.literal(v))],
                    [frac_part()], 0.0)
     assert pred.applicable == (value is not None)
     assert pred.value == value
@@ -120,7 +119,7 @@ def test_predict_literal_means_its_decimal(v, value):
 def test_predict_literal_matches_engine_over_whole_periods(vs):
     # N = 10**6 is a multiple of every period, so the finite-N average
     # is the limit itself
-    fam = build_family([rotation(ScalarConstant.literal(v)) for v in vs])
+    fam = [rotation(ScalarConstant.literal(v)) for v in vs]
     fs = [frac_part(), indicator(0.2, 0.7)][:len(vs)]
     tr = multiple_average(fam, fs, 0.3, Schedule((10 ** 6,)))
     pred = predict(fam, fs, 0.3)
@@ -130,38 +129,42 @@ def test_predict_literal_matches_engine_over_whole_periods(vs):
 
 def test_predict_period_cap_is_inapplicable():
     big = ScalarConstant.rational(1, (1 << 20) + 1)
-    pred = predict(build_family([rotation(big)]), [frac_part()])
+    pred = predict([rotation(big)], [frac_part()])
     assert not pred.applicable and pred.value is None
     assert any("period" in c for c in pred.caveats)
     ok = ScalarConstant.rational(1, 1 << 20)
-    assert predict(build_family([rotation(ok)]), [frac_part()]).applicable
+    assert predict([rotation(ok)], [frac_part()]).applicable
 
 
 def test_predict_panel_budget_is_inapplicable():
     # two members over sqrt(2) with multipliers 1 and 2**20 map the
-    # breakpoint of {x} to 2**20 + 1 panel edges
-    fam = build_family([rotation(SQRT2), rotation_power(SQRT2, 1 << 20)])
-    pred = predict(fam, [frac_part(), frac_part()], quad=QuadratureSpec(64, 2))
+    # breakpoint of {x} to 2**20 + 1 panel edges, 1,052,673 panels with the
+    # 4,096 uniform ones; with k = 2**10 the limit, the integral of
+    # {t}{kt}, is 1/4 + 1/(12k)
+    fam = [rotation(SQRT2), rotation_power(SQRT2, 1 << 20)]
+    pred = predict(fam, [frac_part(), frac_part()])
     assert not pred.applicable and pred.value is None
-    assert any("panels" in c for c in pred.caveats)
-    fam = build_family([rotation(SQRT2), rotation_power(SQRT2, 1 << 10)])
-    assert predict(fam, [frac_part(), frac_part()],
-                   quad=QuadratureSpec(64, 2)).applicable
+    assert pred.caveats == ("quadrature over radicand 2: up to 1052673 panels "
+                            "after refinement exceeds 1048576",)
+    fam = [rotation(SQRT2), rotation_power(SQRT2, 1 << 10)]
+    pred = predict(fam, [frac_part(), frac_part()])
+    assert pred.applicable
+    assert pred.value == pytest.approx(0.25 + 1 / (12 * 2 ** 10), abs=1e-12)
 
 
 def test_predict_large_multiplier_listed_first():
     # c = 10**9 + 7 over sqrt(2) beside c = 1: the shift period comes in
     # closed form and the quadrature is refused by the panel budget at once
     big = rotation(ScalarConstant.surd("1/2", 1000000007, 2))
-    fam = build_family([big, rotation(SQRT2)])
+    fam = [big, rotation(SQRT2)]
     for f in (frac_part(), trig_poly([(1, 1.0, 0.0)])):
         pred = predict(fam, [f, f])
         assert not pred.applicable and pred.value is None
         assert pred.derivation[1] == Factor(2, (0, 1), 2)
         assert any("panels" in c for c in pred.caveats)
     # c = 63 first: the shift 1/2 = 63/2 (mod 1) is common, one quadrature
-    fam = build_family([rotation(ScalarConstant.surd("1/2", 63, 2)),
-                        rotation(ScalarConstant.surd("1/2", 1, 2))])
+    fam = [rotation(ScalarConstant.surd("1/2", 63, 2)),
+           rotation(ScalarConstant.surd("1/2", 1, 2))]
     fs = [frac_part(), indicator(0.2, 0.45)]
     pred = predict(fam, fs, 0.6)
     assert pred.derivation[1] == Factor(2, (0, 1), 2)
@@ -194,7 +197,7 @@ def test_shift_period_matches_search():
 def test_predict_nine_members_over_one_radicand():
     # a scenario's 8 members and its periodic factor, all over sqrt(2)
     n = MAX_PRODUCT_FACTORS
-    fam = build_family([rotation_power(SQRT2, p) for p in range(1, n + 1)])
+    fam = [rotation_power(SQRT2, p) for p in range(1, n + 1)]
     pred = predict(fam, [frac_part()] * n, 0.3)
     assert pred.applicable
     with mp.workdps(20):
@@ -205,13 +208,13 @@ def test_predict_nine_members_over_one_radicand():
 
 def test_predict_mixed_surd_bases_applicable():
     # sqrt(2) - sqrt(3) is irrational; recognized symbolically
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
+    fam = [rotation(SQRT2), rotation(SQRT3)]
     assert predict(fam, [frac_part(), frac_part()]).applicable
 
 
 def test_predict_surd_vs_rational_applicable():
     # the rational member visits {x0, x0 + 1/3, x0 + 2/3}
-    fam = build_family([rotation(SQRT2), finite_rotation(3)])
+    fam = [rotation(SQRT2), finite_rotation(3)]
     pred = predict(fam, [frac_part(), indicator(0.0, 0.5)])
     assert pred.applicable
     assert pred.value == pytest.approx(1 / 3, abs=1e-13)
@@ -223,7 +226,7 @@ def test_predict_same_radicand_resonance():
     # cos(2 pi (x + t)) cos(2 pi (x + 2t)) cos(2 pi (x + 3t)) averages to
     # cos(2 pi x) / 4 over t: the frequencies 1 + 2 - 3 cancel
     cos = trig_poly([(1, 1.0, 0.0)])
-    fam = build_family([rotation_power(SQRT2, p) for p in (1, 2, 3)])
+    fam = [rotation_power(SQRT2, p) for p in (1, 2, 3)]
     pred = predict(fam, [cos] * 3, 0.3)
     assert pred.applicable
     assert pred.value == pytest.approx(math.cos(0.6 * math.pi) / 4, abs=1e-12)
@@ -237,7 +240,7 @@ def test_predict_same_radicand_resonance():
     (2, 0.1, indicator(0.0, 0.5), 0.5),  # the orbit {0.1, 0.6} hits it once
 ])
 def test_predict_finite_rotation_examples(k, x0, f, mean):
-    pred = predict(build_family([finite_rotation(k)]), [f], x0)
+    pred = predict([finite_rotation(k)], [f], x0)
     assert pred.applicable
     assert pred.value == pytest.approx(mean, abs=1e-14)
 
@@ -246,7 +249,7 @@ def test_predict_finite_rotation_matches_identity():
     # (1/k) sum_r {x + r/k} = ({k x} + (k - 1)/2) / k
     for k in (2, 3, 5, 8, 13):
         for x in (0.0, 0.12, 0.5, 0.999):
-            m = predict(build_family([finite_rotation(k)]), [frac_part()], x)
+            m = predict([finite_rotation(k)], [frac_part()], x)
             rhs = (math.modf(k * x)[0] + (k - 1) / 2) / k
             assert m.value == pytest.approx(rhs, abs=1e-12)
 
@@ -262,7 +265,7 @@ def test_predict_periodic_factor_closed_form():
     xs = [0.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -40] + [
         rng.random() for _ in range(19)]
     for k in range(1, 65):
-        fam = build_family([rotation(SQRT2), finite_rotation(k)])
+        fam = [rotation(SQRT2), finite_rotation(k)]
         for x0 in xs:
             pred = predict(fam, [frac_part(), frac_part()], x0)
             want = Fraction(k) * Fraction(x0) % 1 / (2 * k) + Fraction(k - 1, 4 * k)
@@ -272,10 +275,10 @@ def test_predict_periodic_factor_closed_form():
 
 def test_predict_group_collapse():
     # [T, T] with f, g couples into one integral of the product
-    fam2 = build_family([rotation(SQRT2), rotation(SQRT2)])
+    fam2 = [rotation(SQRT2), rotation(SQRT2)]
     p2 = predict(fam2, [frac_part(), power_of_frac(2)])
     assert p2.value == pytest.approx(0.25, abs=1e-12)  # int {x}^3
-    fam1 = build_family([rotation(SQRT2)])
+    fam1 = [rotation(SQRT2)]
     p1 = predict(fam1, [power_of_frac(3)])
     assert p2.value == pytest.approx(p1.value, abs=1e-12)
 
@@ -283,22 +286,22 @@ def test_predict_group_collapse():
 def test_predict_permutation_invariance():
     fs = [frac_part(), power_of_frac(2), indicator(0.2, 0.9)]
     specs = [rotation(SQRT2), rotation(SQRT3), rotation(SQRT2)]
-    base = predict(build_family(specs), fs)
+    base = predict(specs, fs)
     perm = [2, 0, 1]
-    rearranged = predict(build_family([specs[i] for i in perm]),
+    rearranged = predict([specs[i] for i in perm],
                          [fs[i] for i in perm])
     assert rearranged.value == pytest.approx(base.value, abs=1e-13)
     assert rearranged.applicable == base.applicable
 
 
 def test_predict_constant_absorption():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
+    fam = [rotation(SQRT2), rotation(SQRT3)]
     with_const = predict(fam, [frac_part(), trig_poly([(0, 2.0, 0.0)])])
     assert with_const.value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_predict_argument_errors():
-    fam = build_family([rotation(SQRT2)])
+    fam = [rotation(SQRT2)]
     with pytest.raises(ValueError):
         predict(fam, [frac_part(), frac_part()])
 
@@ -308,7 +311,7 @@ def test_predict_argument_errors():
 
 
 def test_compare_pass_and_fail():
-    fam = build_family([rotation(SQRT2), rotation(SQRT3)])
+    fam = [rotation(SQRT2), rotation(SQRT3)]
     fs = [frac_part(), frac_part()]
     pred = predict(fam, fs)
     trace = multiple_average(fam, fs, 0.3, Schedule.geometric(50_000))
@@ -322,7 +325,7 @@ def test_compare_pass_and_fail():
 
 
 def test_compare_rejects_bad_tolerance():
-    fam = build_family([rotation(SQRT2)])
+    fam = [rotation(SQRT2)]
     pred = predict(fam, [frac_part()])
     trace = multiple_average(fam, [frac_part()], 0.0, Schedule((100,)))
     with pytest.raises(ValueError):
@@ -422,7 +425,7 @@ def _random_case(rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_predict_matches_mpmath_formula(seed):
     members, fs, x0 = _random_case(random.Random(seed))
-    pred = predict(build_family([s for s, _ in members]), fs, x0)
+    pred = predict([s for s, _ in members], fs, x0)
     assert pred.applicable
     with mp.workdps(30):
         want = mp_formula([t for _, t in members], fs, x0)
@@ -435,10 +438,10 @@ def test_predict_powers_of_one_rotation_need_one_quadrature(monkeypatch):
     # members is absorbed by t -> t + 1/2, so G[1] = G[0]
     calls = []  # the number of shifts of each call
     monkeypatch.setattr(oracle, "integrate", lambda *a, **k: calls.append(
-        len(a[2][0][0])) or integrate(*a, **k))
+        len(a[1][0][0])) or integrate(*a, **k))
     phi = ScalarConstant.surd("1/2", "1/2", 5)
     fs = [frac_part(), indicator(0.1, 0.6)]
-    pred = predict(build_family([rotation_power(phi, 1), rotation_power(phi, 3)]),
+    pred = predict([rotation_power(phi, 1), rotation_power(phi, 3)],
                    fs, 0.3)
     assert pred.derivation[1] == Factor(5, (0, 1), 2)
     assert calls == [1]

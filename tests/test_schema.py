@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusavg.cli import JOB_KINDS, ScenarioError, parse_scenario
-from torusavg.dynsys import build_family
+from torusavg.cli import JOBS, ScenarioError, parse_scenario
 from torusavg.engine import MAX_N, MIN_RATIO, _orbit, _orbit_block
 from torusavg.observables import MAX_FREQUENCY
 from torusavg.oracle import predict
@@ -160,13 +159,15 @@ schedule = rarely(st.one_of(
 
 @st.composite
 def scenario(draw):
-    job = draw(rarely(st.sampled_from(JOB_KINDS), st.just("other")))
-    d = {"correlation": 1, "triple": 2}.get(job) or draw(st.integers(1, 3))
+    job = draw(rarely(st.sampled_from(tuple(JOBS)), st.just("other")))
+    # an intersection job has one member fewer than its indicator keys
+    keys = JOBS.get(job)
+    d = len(keys) - 1 if keys else draw(st.integers(1, 3))
+    want = keys or "ABC"
     family = draw(rarely(st.lists(transform, min_size=d, max_size=d),
                          st.lists(transform, max_size=9), 8))
     obs = draw(rarely(st.lists(observable, min_size=d, max_size=d),
                       st.lists(observable, max_size=9), 8))
-    want = "AB" if job == "correlation" else "ABC"
     indicators = record({key: indicator for key in want},
                         {key: indicator for key in "C" if key not in want})
     periodic = record({"g": observable, "k": COUNT})
@@ -281,7 +282,7 @@ def test_parsed_constant_runs_in_engine_and_oracle(alpha):
         sc = parse_scenario(json.dumps(doc))
     except ScenarioError:
         return
-    pred = predict(build_family(sc.family), sc.observables, sc.x0)
+    pred = predict(sc.family, sc.observables, sc.x0)
     assert pred.applicable == (pred.value is not None)
     x0, ws = UnitPoint.from_real(sc.x0), np.empty((2, 17))
     for alpha in sc.family:

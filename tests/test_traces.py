@@ -5,9 +5,11 @@ digests were taken before the rational members were evaluated once per
 period and tiled, (for the cancelling families) before block sums were
 certified after one ExtractVector pass, and (for ``periods-5-12`` and
 ``shared-sqrt2``) before each job planned its members once and shared the
-orbits of equal constants, and (for ``all-zero-8-12``) before all-zero
+orbits of equal constants, (for ``all-zero-8-12``) before all-zero
 block sums were taken without fsum and rational members multiplied
-through a period view; each must stay as it is.  A pinned
+through a period view, and (for ``correlation-finite-4`` and
+``triple-sqrt2-finite-2``) before the correlation and triple jobs became
+one intersection average; each must stay as it is.  A pinned
 digest may change only in a change that states why its trace bytes changed.
 """
 
@@ -22,6 +24,10 @@ from torusavg.cli import parse_scenario, run_scenario
 
 N_MAX = 10 ** 5
 SHIPPED = resources.files("torusavg") / "scenarios"
+
+def indicator(a, b):
+    return {"kind": "indicator", "a": a, "b": b}
+
 
 TRIG = {"kind": "trig_poly", "coeffs": [[1, 0.5, 0.25], [-3, -1.0, 0.5],
                                          [4, 0.125, -0.75]]}
@@ -76,6 +82,16 @@ FAMILIES = {
         "family": [rotation({"rational": {"p": 8, "q": 12}})],
         "observables": [{"kind": "indicator", "a": 0.776689, "b": 0.952912}],
         "x0": 0.684331936},
+    # intersection jobs with a rational member
+    "correlation-finite-4": {
+        "job": "correlation", "family": [{"kind": "finite_rotation", "q": 4}],
+        "indicators": {"A": indicator(0.0, 0.25), "B": indicator(0.0, 0.25)}},
+    "triple-sqrt2-finite-2": {
+        "job": "triple",
+        "family": [rotation({"surd": {"m": 2}}),
+                   {"kind": "finite_rotation", "q": 2}],
+        "indicators": {"A": indicator(0.1, 0.6), "B": indicator(0.0, 0.3),
+                       "C": indicator(0.0, 0.5)}},
 }
 
 # mean-zero trig_poly members on surd rotations: block sums cancel to O(1),
@@ -135,6 +151,10 @@ PINNED = {
         "bf65607f52046f0c8a6f56721ac80c39b638b3f46b66fe0491711754ec798f1a",
     "all-zero-8-12":
         "0acf29702aeb44d1330690c4dffe985a480753a773501591cc0774c17cc6e733",
+    "correlation-finite-4":
+        "c619dc89551d749c789e36d59efb9b7ea0c2e00b1b2d08d21204098a086ee7bf",
+    "triple-sqrt2-finite-2":
+        "c31997f4e8752a31fe3201c7009760eea0fa25b2492891ebc5ab06be2dc17849",
 }
 
 

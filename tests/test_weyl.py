@@ -15,8 +15,7 @@ from itertools import product
 import mpmath as mp
 import pytest
 
-from torusavg.dynsys import (build_family, finite_rotation, rotation,
-                             rotation_power)
+from torusavg.dynsys import finite_rotation, rotation, rotation_power
 from torusavg.engine import Schedule, multiple_average
 from torusavg.observables import trig_poly
 from torusavg.oracle import predict
@@ -101,7 +100,7 @@ RANDOMISH = [trig_poly([(0, 0.25, 0.0), (1, 0.7, -0.4), (2, -0.3, 0.9)]),
         "rotation-power-pair", "multiplier-98304"])
 def test_engine_matches_exact_weyl_sums(specs, fs, x0):
     sched = Schedule.geometric(10 ** 6)
-    trace = multiple_average(build_family(specs), fs, x0, sched)
+    trace = multiple_average(specs, fs, x0, sched)
     exact = weyl_average(specs, fs, x0, sched.checkpoints)
     for n, got, want in zip(sched.checkpoints, trace.values, exact):
         assert got == pytest.approx(want, abs=1e-12), n
@@ -120,14 +119,14 @@ def test_engine_matches_exact_weyl_sums(specs, fs, x0):
                             RANDOMISH[0]], 0.61),
 ], ids=["multiplier-98304", "resonance-12288", "resonance-9000-half-shift"])
 def test_predict_matches_weyl_limit_at_large_multipliers(specs, fs, x0):
-    pred = predict(build_family(specs), fs, x0)
+    pred = predict(specs, fs, x0)
     assert pred.applicable
     assert pred.value == pytest.approx(weyl_limit(specs, fs, x0), abs=1e-12)
 
 
 def test_predict_frequency_beyond_panel_budget_is_inapplicable():
     # frequency 1 + 2**20 needs more than 2**20 panels at two per period
-    pred = predict(build_family([rotation(SQRT2), rotation_power(SQRT2, 1 << 20)]),
+    pred = predict([rotation(SQRT2), rotation_power(SQRT2, 1 << 20)],
                    [COS, COS])
     assert not pred.applicable and pred.value is None
     assert any("panels" in c for c in pred.caveats)
