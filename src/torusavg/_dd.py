@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter
-
 
 def two_sum(a, b):
     s = a + b
@@ -36,59 +34,9 @@ def fast_two_sum(a, b):
     return s, b - (s - a)
 
 
-def two_prod(a, b):
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def dd_add(x, y):
     s, e = two_sum(x[0], y[0])
     e += x[1] + y[1]
-    return fast_two_sum(s, e)
-
-
-def dd_neg(x):
-    return -x[0], -x[1]
-
-
-def dd_mul_float(x, c):
-    p, e = two_prod(x[0], c)
-    e += x[1] * c
-    return fast_two_sum(p, e)
-
-
-def dd_mul_int(x, n):
-    """x * n for an arbitrary Python int, split into exact 31-bit limbs."""
-    if n < 0:
-        return dd_neg(dd_mul_int(x, -n))
-    out = (0.0, 0.0)
-    shift = 0
-    while n:
-        limb = n & 0x7FFFFFFF
-        if limb:
-            out = dd_add(out, dd_mul_float(x, float(limb << shift)))
-        n >>= 31
-        shift += 31
-    return out
-
-
-def dd_div_int(x, q):
-    q1 = x[0] / q
-    p, pe = two_prod(q1, float(q))
-    r = (((x[0] - p) - pe) + x[1]) / q
-    return fast_two_sum(q1, r)
-
-
-def dd_sqrt_int(m):
-    s = math.sqrt(m)
-    p, pe = two_prod(s, s)
-    e = ((m - p) - pe) / (2.0 * s)
     return fast_two_sum(s, e)
 
 

@@ -33,7 +33,8 @@ from .observables import Observable, evaluate_array
 from .unitmath import CompensatedSum, ScalarConstant, UnitPoint, frac, orbit_point
 
 DEFAULT_CHUNK = 1 << 16
-# the double-double constant's error grows with n: about 1.7 * 2**-53 at 2**53
+# orbit points are good at any n (``orbit_point``): the cap is policy, so
+# that every count converts to a float exactly, as the average divides by it
 MAX_N = 1 << 53
 # geometric schedules take about log(n_max / first) / log(ratio) steps: at
 # most 344k at this floor, which parses in well under a second
@@ -378,26 +379,29 @@ def run_job(job) -> AverageTrace:
     return AverageTrace(job.schedule, tuple(values), values[-1], est_tail)
 
 
+def check_family(fam, fs, arcs: bool = False):
+    """(fam, fs) as tuples for a nonempty family with one observable per
+    member, or with arcs one indicator per member and one more; otherwise
+    ValueError.  The averages and their predictions take the same inputs."""
+    fam, fs, want = tuple(fam), tuple(fs), len(fam) + arcs
+    if not fam or len(fs) != want:
+        raise ValueError(f"{len(fs)} observables for a family of {len(fam)}: "
+                         f"need a nonempty family and {want}")
+    if arcs and any(f.kind != "indicator" for f in fs):
+        raise ValueError("intersection averages take indicator observables")
+    return fam, fs
+
+
 def multiple_average(fam, fs, x0, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} prod_i f_i(T_i^n x0) for the family's constants."""
-    fam, fs = tuple(fam), tuple(fs)
-    if not fam:
-        raise ValueError("family must be nonempty")
-    if len(fs) != len(fam):
-        raise ValueError(f"{len(fs)} observables for {len(fam)} transformations")
-    job = DiagonalJob(fam, fs, UnitPoint.from_real(x0), s)
+    job = DiagonalJob(*check_family(fam, fs), UnitPoint.from_real(x0), s)
     return run_job(job)
 
 
 def intersection_average(fam, indicators, s: Schedule) -> AverageTrace:
     """(1/N) sum_{n<N} len(T1^-n A1 ∩ ... ∩ Td^-n Ad ∩ C), each term exact:
     member i pulls back indicator i, and the last indicator C stays put."""
-    fam = tuple(fam)
-    if not fam or len(indicators) != len(fam) + 1:
-        raise ValueError(f"need a nonempty family and one indicator more than "
-                         f"its {len(fam)} members, got {len(indicators)}")
-    if any(f.kind != "indicator" for f in indicators):
-        raise ValueError("intersection averages take indicator observables")
+    fam, indicators = check_family(fam, indicators, arcs=True)
     arcs = [(a, b - a) for a, b in (f.params for f in indicators)]
     job = ArcJob(tuple((t, *arc) for t, arc in zip(fam, arcs)), (arcs[-1],), s)
     return run_job(job)

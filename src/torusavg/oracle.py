@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _dd
 from .dynsys import weyl_form
-from .engine import AverageTrace, rational_points
+from .engine import AverageTrace, check_family, rational_points
 from .observables import QuadratureBudgetError, evaluate_array, integrate
 from .unitmath import UnitPoint
 
@@ -94,9 +94,7 @@ def _shift_period(ts) -> int:
 def predict(fam, fs, x0=0.0) -> Prediction:
     """Predicted limit of the diagonal average from x0 for the family's
     constants."""
-    fam, fs = tuple(fam), list(fs)
-    if len(fs) != len(fam):
-        raise ValueError(f"{len(fs)} observables for {len(fam)} transformations")
+    fam, fs = check_family(fam, fs)
     terms, derivation, q = _resolve(fam)
     if q > MAX_PERIOD:
         shown = q if q < _PRINTABLE else f"of {q.bit_length()} bits"
@@ -130,6 +128,7 @@ def predict_intersection(members, indicators) -> Prediction:
     arc lengths when every member is a surd rotation and no two share a
     radicand, so that the orbit is equidistributed on the torus; otherwise
     not applicable."""
+    members, indicators = check_family(members, indicators, arcs=True)
     _, derivation, _ = _resolve(members)
     if (derivation[0].indices or
             any(len(f.indices) > 1 for f in derivation[1:])):
@@ -153,7 +152,7 @@ def compare(pred: Prediction, trace: AverageTrace, tol: float) -> ComparisonRepo
     The empirical tail is carried along so a failure can be attributed to
     slow convergence rather than a wrong prediction.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if pred.value is None:
         raise ValueError("prediction has no value; nothing to compare")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import _dd
 
@@ -39,22 +38,15 @@ def _squarefree(m: int):
     return s, r
 
 
-@lru_cache(maxsize=None)
-def _sqrt_dd(m: int):
-    return _dd.dd_sqrt_int(m)
-
-
-# fractional bits of the integer square root behind a large surd part
+# fractional bits of the integer square root behind a surd part
 _ROOT_BITS = 128
 
 
 def _surd_dd(p: int, q: int, m: int):
-    """(p/q)*sqrt(m) in double-double, p/q in lowest terms.  From 2**53 up a
-    double-double keeps too few fractional bits, and beyond float range it
-    overflows, so there it is taken modulo 1, from the integer square root
-    floor(2**_ROOT_BITS * |p/q|*sqrt(m))."""
-    if p * p * m < q * q << 106 and q < 1 << 960:
-        return _dd.dd_div_int(_dd.dd_mul_int(_sqrt_dd(m), p), q)
+    """(p/q)*sqrt(m) modulo 1 in double-double, for ints q > 0: the integer
+    square root floor(2**_ROOT_BITS * |p/q|*sqrt(m)), with p's sign, mod
+    2**_ROOT_BITS, over 2**_ROOT_BITS.  It is within 2**-_ROOT_BITS at any
+    magnitude, and depends on the value of p/q alone."""
     r, one = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q, 1 << _ROOT_BITS
     return _dd.dd_from_ratio((r if p > 0 else -r) % one, one)
 
@@ -98,8 +90,9 @@ class ScalarConstant:
         return ScalarConstant(Fraction(repr(v)))
 
     def dd(self):
-        """Double-double (hi, lo) of the constant; congruent to it modulo 1
-        where a or b*sqrt(m) reaches 2**53."""
+        """Double-double (hi, lo) congruent to the constant modulo 1: a,
+        reduced modulo 1 where it reaches 2**53, plus b*sqrt(m) modulo 1
+        (``_surd_dd``)."""
         a = self.a
         if abs(a.numerator) >= a.denominator << 53:
             a %= 1
@@ -142,16 +135,16 @@ def orbit_point(x0, alpha: ScalarConstant, n: int) -> UnitPoint:
     """{x0 + n*alpha} via product reduction.
 
     From Python ints, n*a reduces modulo 1 exactly to (n*p_a mod q_a)/q_a,
-    and n*b*sqrt(m) goes to ``_surd_dd`` as n*b = (n/g*p_b)/(q_b/g), g =
-    gcd(n, q_b), so the error stays at a few ulp for n below 2**53.
+    and n*b*sqrt(m) modulo 1 to within 2**-128 (``_surd_dd`` of n*p_b and
+    q_b), so the point is within 2**-100 for every n, but for one within an
+    ulp below 1, which ``dd_frac`` takes to 0.0.
     """
     if n < 0:
         raise ValueError("orbit step count must be nonnegative")
     x0 = UnitPoint.from_real(x0)
     (pa, qa), (pb, qb) = alpha.a.as_integer_ratio(), alpha.b.as_integer_ratio()
-    g = math.gcd(n, qb)
     shift = _dd.dd_add(_dd.dd_from_ratio(n * pa % qa, qa),
-                       _surd_dd(n // g * pb, qb // g, alpha.m))
+                       _surd_dd(n * pb, qb, alpha.m))
     h, l = _dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift))
     return UnitPoint(h, l)
 

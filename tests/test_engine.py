@@ -18,6 +18,7 @@ from torusavg.engine import (DEFAULT_CHUNK, MAX_N, ArcJob, AverageTrace,
 from torusavg.observables import (evaluate_array, frac_part, indicator,
                                   piecewise_linear, power_of_frac, product,
                                   trig_poly)
+from torusavg.oracle import predict, predict_intersection
 from torusavg.unitmath import (CompensatedSum, ScalarConstant, UnitPoint,
                                frac, orbit_point)
 
@@ -151,11 +152,13 @@ def test_periodic_factor_constant_g_degenerates():
 
 
 def test_observable_count_mismatch():
-    # one observable per member, of a nonempty family
+    # one observable per member, of a nonempty family; predict refuses the same
     for fam, fs in (([rotation(SQRT2), rotation(SQRT3)], [frac_part()]),
                     ([], [])):
         with pytest.raises(ValueError):
             multiple_average(fam, fs, 0.0, Schedule((10,)))
+        with pytest.raises(ValueError):
+            predict(fam, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +273,8 @@ def test_run_job_stops_at_the_failing_block():
 
 
 def test_orbit_length_capped_where_the_constant_error_stays_small():
-    # the double-double constant's error grows with n (about 1.7 * 2**-53
-    # at 2**53, see test_orbit_block_matches_mpmath), so orbits stop at 2**53
+    # points stay within an ulp at any n (test_orbit_block_matches_mpmath);
+    # orbits stop at 2**53 by policy, where counts are still exact floats
     assert MAX_N == 2 ** 53
     with pytest.raises(ValueError):
         Schedule((10, MAX_N + 1))
@@ -362,8 +365,7 @@ def test_orbit_block_matches_mpmath(c):
         pts = orbit_block(UnitPoint.from_real(x0), c, n0, n0 + length)
         assert pts.shape == (length,)
         assert np.all((pts >= 0.0) & (pts < 1.0))
-        bound = 1.0 if n0 + length <= 2 ** 40 else 4.0
-        assert max(mp_orbit_errors(x0, c, n0, pts)) <= bound, (x0, n0, length)
+        assert max(mp_orbit_errors(x0, c, n0, pts)) <= 1.0, (x0, n0, length)
         if _period(c) is None:
             _, ref = floor_wrapped_orbit_block(UnitPoint.from_real(x0), c, n0,
                                                n0 + length)
@@ -671,6 +673,9 @@ def test_arc_jobs_require_indicators():
     for fam, fs in bad:
         with pytest.raises(ValueError):
             intersection_average(fam, fs, Schedule((10,)))
+        # the prediction takes the same inputs as the average
+        with pytest.raises(ValueError):
+            predict_intersection(fam, fs)
 
 
 def test_wraparound_arc_lengths():

@@ -328,8 +328,9 @@ def test_compare_rejects_bad_tolerance():
     fam = [rotation(SQRT2)]
     pred = predict(fam, [frac_part()])
     trace = multiple_average(fam, [frac_part()], 0.0, Schedule((100,)))
-    with pytest.raises(ValueError):
-        compare(pred, trace, 0.0)
+    for tol in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            compare(pred, trace, tol)
 
 
 # ---------------------------------------------------------------------------

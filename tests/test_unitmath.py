@@ -88,55 +88,69 @@ def test_orbit_additivity(m, n):
     assert min(diff, 1.0 - diff) <= 1e-12  # distance on the circle
 
 
-def fraction_orbit_point(x0, alpha, n, branches):
-    """The former orbit_point, from Fraction products: n*a % 1 and n*b in
-    lowest terms, and b*sqrt(m) as the former _surd_dd took it; branches
-    records whether b*sqrt(m) took the integer square root."""
+def fraction_orbit_point(x0, alpha, n):
+    """orbit_point from Fraction products: n*a % 1, and n*b in lowest
+    terms into the integer square root of b*sqrt(m)."""
     x0 = UnitPoint.from_real(x0)
     a, b = n * alpha.a % 1, n * alpha.b
     p, q, m = b.numerator, b.denominator, alpha.m
-    if p * p * m < q * q << 106 and q < 1 << 960:
-        branches.add("dd")
-        surd = _dd.dd_div_int(_dd.dd_mul_int(_dd.dd_sqrt_int(m), p), q)
-    else:
-        branches.add("isqrt")
-        r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
-        fr = Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1
-        surd = _dd.dd_from_ratio(fr.numerator, fr.denominator)
+    r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
+    fr = Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1
+    surd = _dd.dd_from_ratio(fr.numerator, fr.denominator)
     shift = _dd.dd_add(_dd.dd_from_ratio(a.numerator, a.denominator), surd)
     return UnitPoint(*_dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift)))
 
 
+ORBIT_CONSTS = [
+    SQRT2, SQRT3.neg(),
+    ScalarConstant.surd("1/3", "-2/7", 5),
+    ScalarConstant.surd("-5/6", "3/10", 7),
+    ScalarConstant.surd("2/3", "-1/3", 7),
+    ScalarConstant.rational(3, 2 ** 61 + 2),
+    ScalarConstant.rational(-7, 2 ** 61 + 2),
+    ScalarConstant.surd(0, Fraction(-1, 2 ** 61 + 2), 2),
+    ScalarConstant.surd(Fraction(7, 10 ** 400), Fraction(-3, 10 ** 400), 3),
+    ScalarConstant.literal(0.1), ScalarConstant.literal(-0.3),
+    ScalarConstant.surd("1/3", int("1" * 400), 2),
+    ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3),
+]
+# gcd(n, q_b) > 1 at multiples of 2, 5, 7, 17 and 2**40; up to 2**53
+ORBIT_NS = [0, 1, 2, 3, 5, 6, 7, 10, 14, 34, 35, 70, 10 ** 6, 2 ** 40,
+            7 * 2 ** 40, 2 ** 53 - 1, 2 ** 53]
+ORBIT_NS += np.random.default_rng(7).integers(0, 2 ** 53, 24).tolist()
+ORBIT_X0S = [0.0, 0.3, UnitPoint(0.7, -2e-17), 1 - 2 ** -53]
+
+
 def test_orbit_point_matches_fraction_formula():
-    # Python-int residues and gcd reduction give the former Fraction
-    # arithmetic's inputs, so every bit, signed zeros included
-    consts = [
-        SQRT2, SQRT3.neg(),
-        ScalarConstant.surd("1/3", "-2/7", 5),
-        ScalarConstant.surd("-5/6", "3/10", 7),
-        ScalarConstant.surd("2/3", "-1/3", 7),
-        ScalarConstant.rational(3, 2 ** 61 + 2),
-        ScalarConstant.rational(-7, 2 ** 61 + 2),
-        ScalarConstant.surd(0, Fraction(-1, 2 ** 61 + 2), 2),
-        ScalarConstant.surd(Fraction(7, 10 ** 400), Fraction(-3, 10 ** 400), 3),
-        ScalarConstant.literal(0.1), ScalarConstant.literal(-0.3),
-        ScalarConstant.surd("1/3", int("1" * 400), 2),
-        ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3),
-    ]
-    # gcd(n, q_b) > 1 at multiples of 2, 5, 7, 17 and 2**40; up to 2**53
-    ns = [0, 1, 2, 3, 5, 6, 7, 10, 14, 34, 35, 70, 10 ** 6, 2 ** 40,
-          7 * 2 ** 40, 2 ** 53 - 1, 2 ** 53]
-    ns += np.random.default_rng(7).integers(0, 2 ** 53, 24).tolist()
-    x0s = [0.0, 0.3, UnitPoint(0.7, -2e-17), 1 - 2 ** -53]
-    branches = set()
-    for c in consts:
-        for x0 in x0s:
-            for n in ns:
+    # Python-int residues, and n*b into the root in whatever terms, give the
+    # Fraction arithmetic's bits, signed zeros included: the root's floor
+    # depends on the value of n*b alone
+    for c in ORBIT_CONSTS:
+        for x0 in ORBIT_X0S:
+            for n in ORBIT_NS:
                 got = orbit_point(x0, c, n)
-                ref = fraction_orbit_point(x0, c, n, branches)
+                ref = fraction_orbit_point(x0, c, n)
                 assert (got.value.hex(), got.comp.hex()) == \
                     (ref.value.hex(), ref.comp.hex()), (c, x0, n)
-    assert branches == {"dd", "isqrt"}
+
+
+def test_orbit_point_matches_mpmath():
+    # within 2**-100 of {x0 + n*alpha} up to n = 2**53, or 0.0 for a point
+    # within an ulp below 1 (such as {0.3 + 7/10} and {-7*sqrt(2)/(2**61+2)})
+    for c in ORBIT_CONSTS:
+        with mp.workprec(2000):
+            alpha = (mp.mpf(c.a.numerator) / c.a.denominator
+                     + mp.mpf(c.b.numerator) / c.b.denominator * mp.sqrt(c.m))
+            for x0 in ORBIT_X0S:
+                x0 = UnitPoint.from_real(x0)
+                for n in ORBIT_NS:
+                    got = orbit_point(x0, c, n)
+                    ref = mp.frac(mp.mpf(x0.value) + mp.mpf(x0.comp) + n * alpha)
+                    d = abs(mp.mpf(got.value) + mp.mpf(got.comp) - ref)
+                    d = min(d, 1 - d)
+                    assert d <= 2.0 ** -100 or (
+                        (got.value, got.comp) == (0.0, 0.0) and d < 2.0 ** -53), \
+                        (c, x0, n, float(d))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +192,9 @@ def test_literal_is_its_decimal_rational():
 
 
 def test_scalar_float_value():
-    assert sum(SQRT2.dd()) == pytest.approx(math.sqrt(2), abs=1e-16)
+    # congruent to the constant modulo 1
+    assert frac(sum(SQRT2.dd())) == pytest.approx(float(mp.frac(mp.sqrt(2))),
+                                                  abs=1e-16)
     assert sum(ScalarConstant.rational(1, 3).dd()) == pytest.approx(1 / 3, abs=1e-17)
     # parts of 2**53 and beyond are reduced modulo 1 rather than overflow
     assert (ScalarConstant.rational(10 ** 400 + 1, 3).dd()
