@@ -10,7 +10,8 @@ a-denominators, Weyl equidistribution gives the limit
 with G_m[r] the integral over t of prod_{i over m} f_i(x0 + r a_i + c_i t).
 A literal constant is the rational of its shortest round-trip decimal, so
 the literal 0.1 is exactly 1/10.  A prediction is not applicable when q
-exceeds 2**20 or when the quadratures of a class exceed the panel budget.
+exceeds 2**20 or when the quadratures of a class (one Gauss-Legendre panel
+per polynomial piece of degree up to 15) exceed the panel budget.
 """
 
 from .dynsys import (finite_rotation, identity, rotation, rotation_power,

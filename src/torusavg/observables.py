@@ -3,9 +3,10 @@
 Each constructor works out, once per observable, what quadrature and the
 parser read: the breakpoints, so panel quadrature can split exactly at
 discontinuities; the exact Haar integral where it is known in closed form;
-a (min, max) enclosure of the values (``bounds``); and the largest
-frequency (``frequency``), the rest being polynomial between breakpoints.
-Values at breakpoints follow the right-limit convention.
+a (min, max) enclosure of the values (``bounds``); and, between
+breakpoints, the largest frequency (``frequency``) and the degree of the
+polynomial (``degree``).  Values at breakpoints follow the right-limit
+convention.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ MAX_FREQUENCY = 1 << 20
 # points per Horner pass, for three complex buffers of 128 KB: the fastest of
 # 2**11 to 2**14 and of whole 2**16-point blocks
 _HORNER_CHUNK = 1 << 13
-# quadrature (integrate): the least uniform panels, Gauss-Legendre nodes per
-# panel, and the most panels of one call
-_PANELS = 4096
+# largest power_of_frac exponent: policy, as with engine.MAX_N
+MAX_POWER = 1 << 53
+# quadrature (integrate): Gauss-Legendre nodes per panel, exact for
+# polynomials of degree 2 * _NODES - 1, and the most panels of one call
 _NODES = 8
 _PANEL_BUDGET = 1 << 20
 
@@ -45,27 +47,30 @@ class Observable:
     exact_integral: float | None = None
     bounds: tuple[float, float] = (0.0, 1.0)
     frequency: int = 0
+    degree: int = 0
 
 
 def frac_part() -> Observable:
     """x -> {x}."""
-    return Observable("frac_part", breakpoints=(0.0,), exact_integral=0.5)
+    return Observable("frac_part", breakpoints=(0.0,), exact_integral=0.5,
+                      degree=1)
 
 
 def power_of_frac(p: int) -> Observable:
-    """x -> {x}**p."""
+    """x -> {x}**p, for integers 1 <= p <= MAX_POWER = 2**53."""
     p = operator.index(p)
-    if p < 1:
-        raise ValueError("power must be a positive integer")
+    if not 1 <= p <= MAX_POWER:
+        raise ValueError(f"power must be an integer in [1, {MAX_POWER}]")
     return Observable("power_of_frac", params=(p,), breakpoints=(0.0,),
-                      exact_integral=1.0 / (p + 1))
+                      exact_integral=1.0 / (p + 1), degree=p)
 
 
 def indicator(a: float, b: float) -> Observable:
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("indicator needs 0 <= a < b <= 1")
+    # b = 1 jumps back to 0 where {x} wraps, at 0 = 1 % 1
     return Observable("indicator", params=(float(a), float(b)),
-                      breakpoints=(float(a),) + ((float(b),) if b < 1.0 else ()),
+                      breakpoints=tuple(sorted({float(a), float(b) % 1.0})),
                       exact_integral=b - a)
 
 
@@ -74,10 +79,10 @@ def trig_poly(coeffs) -> Observable:
 
     Repeated frequencies add up, and the sine amplitude of k = 0 is ignored.
     Frequencies are integers with |k| <= MAX_FREQUENCY = 2**20.  Quadrature
-    takes two panels per period, so |k| > 2**19 is past its panel budget
-    already; at 2**20 the phase 2*pi*k*x is still good to about 7e-10 per
-    unit amplitude.  Values come from Horner's rule in e^{2*pi*i*x}, within
-    the bound given in evaluate_array."""
+    takes at least two panels per period, so |k| > 2**19 is past its panel
+    budget already; at 2**20 the phase 2*pi*k*x is still good to about
+    7e-10 per unit amplitude.  Values come from Horner's rule in
+    e^{2*pi*i*x}, within the bound given in evaluate_array."""
     coeffs = tuple((operator.index(k), float(c), float(s)) for k, c, s in coeffs)
     if any(abs(k) > MAX_FREQUENCY for k, _, _ in coeffs):
         raise ValueError(f"frequency must be an integer in "
@@ -109,13 +114,13 @@ def piecewise_linear(knots) -> Observable:
     integral = sum((x1 - x0) * (v0 / 2.0 + v1 / 2.0) for x0, x1, v0, v1 in segments)
     return Observable("piecewise_linear", params=knots,
                       breakpoints=tuple(pos), exact_integral=integral,
-                      bounds=(min(vs), max(vs)))
+                      bounds=(min(vs), max(vs)), degree=1)
 
 
 def product(*factors: Observable) -> Observable:
     """Pointwise product wrapper; breakpoints are the union of the factors',
-    its bounds the extreme products of theirs, and its frequency the sum of
-    theirs."""
+    its bounds the extreme products of theirs, and its frequency and degree
+    the sums of theirs."""
     if not 1 <= len(factors) <= MAX_PRODUCT_FACTORS:
         raise ValueError(f"product takes 1..{MAX_PRODUCT_FACTORS} factors")
     bps = sorted({b for f in factors for b in f.breakpoints})
@@ -124,7 +129,8 @@ def product(*factors: Observable) -> Observable:
         corners = (lo * glo, lo * ghi, hi * glo, hi * ghi)
         lo, hi = min(corners), max(corners)
     return Observable("product", params=tuple(factors), breakpoints=tuple(bps),
-                      bounds=(lo, hi), frequency=sum(f.frequency for f in factors))
+                      bounds=(lo, hi), frequency=sum(f.frequency for f in factors),
+                      degree=sum(f.degree for f in factors))
 
 
 def evaluate_array(f: Observable, xs: np.ndarray) -> np.ndarray:
@@ -219,39 +225,56 @@ def _preimages(b: float, s: float, c: int):
 
 def integrate(fs, maps=None):
     """Integral over t in [0, 1] of prod_i f_i({s_i + c_i*t}), by
-    Gauss-Legendre panels of _NODES nodes split at every breakpoint mapped
-    back through t -> s_i + c_i*t, over _PANELS uniform panels or two per
-    period of the highest frequency sum_i |c_i| k_i, if more.  ``maps`` gives one (s_i, c_i), c_i
-    an integer, per observable; the default (0, 1) integrates the product
-    itself.  Shifts s_i given as arrays of one length p give the p integrals
-    as an array; the panel budget bounds the panels of all p together, so
-    that no call does more than one budget of work."""
+    Gauss-Legendre panels of _NODES nodes.  [0, 1] splits into pieces at 0,
+    1 and every breakpoint mapped back through t -> s_i + c_i*t, and on a
+    piece each factor is a polynomial of its degree in t, or a trig
+    polynomial.  So when the degree D = sum_i deg_i is at most
+    2*_NODES - 1 and no factor has a frequency, one panel a piece is exact
+    up to rounding.  Otherwise a piece of width w takes ceil(w*rate)
+    panels: two per period of the highest frequency sum_i |c_i| k_i, plus
+    sum_i |c_i| deg_i / 2, at which a power {s + c*t}**deg falls by at most
+    e**2 a panel; a polynomial beside a frequency is not integrated exactly
+    either, so then the second term counts at any D.  ``maps`` gives one
+    (s_i, c_i), c_i an integer, per observable; the default (0, 1)
+    integrates the product itself.  Shifts s_i given as arrays of one
+    length p give the p integrals as an array; the panel budget bounds the
+    panels of all p together, so that no call does more than one budget of
+    work."""
     fs = list(fs)
     if not 1 <= len(fs) <= MAX_PRODUCT_FACTORS:
         raise ValueError(f"integrate takes 1..{MAX_PRODUCT_FACTORS} observables")
     maps = [(0.0, 1)] * len(fs) if maps is None else list(maps)
     shifts = np.array([s for s, _ in maps], dtype=np.float64)
     cs = [c for _, c in maps]
-    uniform = max(_PANELS, 2 * sum(abs(c) * f.frequency for f, c in zip(fs, cs)))
-    panels = uniform + sum(abs(c) * len(f.breakpoints) for f, c in zip(fs, cs))
+    rate = 2 * sum(abs(c) * f.frequency for f, c in zip(fs, cs))
+    if rate or sum(f.degree for f in fs) >= 2 * _NODES:
+        rate += sum(abs(c) * f.degree for f, c in zip(fs, cs)) / 2
+    # at most sum_i |c_i| breakpoints mapped into (0, 1), and the sum of
+    # ceil(w*rate) over the pieces is below rate + pieces
+    panels = max(1, math.ceil(rate)) + sum(
+        abs(c) * len(f.breakpoints) for f, c in zip(fs, cs))
     total = panels * shifts[0].size
     if total > _PANEL_BUDGET:
         raise QuadratureBudgetError(
             f"up to {total} panels after refinement exceeds {_PANEL_BUDGET}")
-    out = [_integrate_panels(fs, uniform, ss, cs)
+    out = [_integrate_panels(fs, rate, ss, cs)
            for ss in shifts.reshape(len(fs), -1).T]
     return out[0] if shifts.ndim == 1 else np.array(out)
 
 
-def _integrate_panels(fs, uniform: int, shifts, cs) -> float:
+def _integrate_panels(fs, rate: float, shifts, cs) -> float:
+    # not np.unique, whose first call adds about 0.5 MB of resident memory
     edges = np.sort(np.concatenate(
-        [np.arange(uniform + 1) / uniform]
-        + [np.fromiter(_preimages(b, s, c), float)
-           for f, s, c in zip(fs, shifts, cs) for b in f.breakpoints]))
+        [(0.0, 1.0)] + [np.fromiter(_preimages(b, s, c), float)
+                        for f, s, c in zip(fs, shifts, cs) for b in f.breakpoints]))
     edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
+    width = np.diff(edges)
+    n = np.maximum(np.ceil(width * rate), 1.0).astype(np.intp)
+    piece = np.repeat(np.arange(n.size), n)
+    k = np.arange(piece.size) - (np.cumsum(n) - n)[piece]
+    half = (width / (2 * n))[piece]
+    mid = edges[piece] + (2 * k + 1) * half
     x, w = _gl_nodes(_NODES)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     vals = np.ones_like(pts)
     xs = np.empty_like(pts)

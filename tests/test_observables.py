@@ -8,7 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from torusavg.observables import (MAX_FREQUENCY, MAX_PRODUCT_FACTORS, Observable,
+from torusavg.observables import (MAX_FREQUENCY, MAX_POWER, MAX_PRODUCT_FACTORS,
+                                  Observable,
                                   QuadratureBudgetError, evaluate_array,
                                   frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, product,
@@ -56,6 +57,16 @@ def test_product_evaluation():
     assert value_at(f, 0.25) == 0.25
     assert value_at(f, 0.75) == 0.0
     assert f.breakpoints == (0.0, 0.5)
+    # an indicator ending at 1 jumps back to 0 where {x} wraps
+    assert indicator(0.3, 1.0).breakpoints == (0.0, 0.3)
+    assert indicator(0.0, 1.0).breakpoints == (0.0,)
+
+
+def test_degrees():
+    assert [f.degree for f in (frac_part(), power_of_frac(7), indicator(0.1, 0.2),
+                               trig_poly([(3, 1.0, 0.0)]),
+                               piecewise_linear([(0.0, 1.0)]))] == [1, 7, 0, 0, 1]
+    assert product(power_of_frac(3), frac_part(), trig_poly([(1, 1.0, 0.0)])).degree == 4
 
 
 def test_constructor_domain_errors():
@@ -65,6 +76,11 @@ def test_constructor_domain_errors():
         indicator(-0.1, 0.5)
     with pytest.raises(ValueError):
         power_of_frac(0)
+    # the power is capped at 2**53 as policy
+    assert power_of_frac(MAX_POWER).params == (MAX_POWER,)
+    for p in (MAX_POWER + 1, 10 ** 400):
+        with pytest.raises(ValueError):
+            power_of_frac(p)
     with pytest.raises(ValueError):
         piecewise_linear([(0.1, 1.0)])
     with pytest.raises(ValueError):
@@ -224,8 +240,7 @@ def test_integrate_trig_orthogonality():
 
 
 def test_integrate_resolves_high_frequencies():
-    # the product's frequency 2 * 5000 exceeds the 4096 uniform panels, so
-    # the panels are raised to two per period
+    # two panels per period of the product's frequency 2 * 5000
     c = trig_poly([(5000, 1.0, 0.0)])
     assert integrate([c, c]) == pytest.approx(0.5, abs=1e-13)
     assert integrate([product(c, c)]) == pytest.approx(0.5, abs=1e-13)
@@ -233,8 +248,12 @@ def test_integrate_resolves_high_frequencies():
     one = trig_poly([(1, 1.0, 0.0)])
     assert integrate([one, one], maps=[(0.0, 5000), (0.0, 5000)]) == pytest.approx(
         0.5, abs=1e-13)
+    # frequency 2**19 takes the whole budget of 2**20 panels, one more is
+    # past it
     with pytest.raises(QuadratureBudgetError):
         integrate([trig_poly([((1 << 19) + 1, 1.0, 0.0)])])
+    assert integrate([trig_poly([(1 << 19, 1.0, 0.0)])]) == pytest.approx(
+        0.0, abs=1e-13)
 
 
 def test_integrate_shift_arrays():
@@ -246,11 +265,12 @@ def test_integrate_shift_arrays():
     assert got.shape == (3,)
     for r in range(3):
         assert got[r] == integrate(fs, maps=[(s[r], c) for s, c in zip(shifts, cs)])
-    # the budget bounds the panels of all shifts together: 4,097 panels
-    # each, so 256 shifts make 1,048,832, past 2**20, and 255 do not
+    # the budget bounds the panels of all shifts together: {4096 t} has
+    # 4,095 breakpoints in (0, 1) and the bound counts 4,096, so one panel
+    # more each, 4,097; 256 shifts make 1,048,832, past 2**20, and 255 do not
     with pytest.raises(QuadratureBudgetError):
-        integrate([frac_part()], maps=[(np.zeros(256), 1)])
-    assert integrate([frac_part()], maps=[(np.zeros(255), 1)]) == pytest.approx(
+        integrate([frac_part()], maps=[(np.zeros(256), 4096)])
+    assert integrate([frac_part()], maps=[(np.zeros(255), 4096)]) == pytest.approx(
         np.full(255, 0.5), abs=1e-15)
 
 
@@ -281,6 +301,150 @@ def test_quadrature_budget():
                        breakpoints=tuple(np.linspace(0.001, 0.999, (1 << 20) + 2)))
     with pytest.raises(QuadratureBudgetError):
         integrate([dense])
+
+
+# ---------------------------------------------------------------------------
+# class integrals against independent oracles
+
+
+def _jumps(f):
+    """Where f may jump or bend on [0, 1), read from its parameters: the
+    wrap at 0, indicator ends and knots."""
+    if f.kind == "indicator":
+        return [0.0, *f.params]
+    if f.kind == "piecewise_linear":
+        return [p for p, _ in f.params]
+    return [0.0]
+
+
+def _cuts(fs, maps, num):
+    """The t in [0, 1] where some f_i({s_i + c_i t}) may jump, in num."""
+    cuts = {num(0), num(1)}
+    for f, (s, c) in zip(fs, maps):
+        for b in _jumps(f):
+            for k in range(-abs(c) - 2, abs(c) + 3):
+                t = (num(b) - num(s) + k) / c
+                if 0 < t < 1:
+                    cuts.add(t)
+    return sorted(cuts)
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _local_poly(f, s, c, tm):
+    """f({s + c t}) near tm, between two cuts, as coefficients in t."""
+    u0 = s - math.floor(s + c * tm)  # {s + c t} = u0 + c t there
+    if f.kind == "frac_part":
+        return [u0, Fraction(c)]
+    if f.kind == "power_of_frac":
+        out = [Fraction(1)]
+        for _ in range(f.params[0]):
+            out = _poly_mul(out, [u0, Fraction(c)])
+        return out
+    x = u0 + c * tm
+    if f.kind == "indicator":
+        a, b = map(Fraction, f.params)
+        return [Fraction(a <= x < b)]
+    pos = [Fraction(p) for p, _ in f.params] + [Fraction(1)]
+    val = [Fraction(v) for _, v in f.params] + [Fraction(f.params[0][1])]
+    j = max(i for i in range(len(pos) - 1) if pos[i] <= x)
+    slope = (val[j + 1] - val[j]) / (pos[j + 1] - pos[j])
+    return [val[j] + slope * (u0 - pos[j]), slope * c]
+
+
+def exact_class_integral(fs, maps):
+    """int_0^1 prod_i f_i({s_i + c_i t}) dt in exact rationals, for
+    piecewise-polynomial f_i: on each piece between cuts the product is a
+    polynomial in t, integrated term by term."""
+    cuts = _cuts(fs, maps, Fraction)
+    total = Fraction(0)
+    for t0, t1 in zip(cuts, cuts[1:]):
+        poly = [Fraction(1)]
+        for f, (s, c) in zip(fs, maps):
+            poly = _poly_mul(poly, _local_poly(f, Fraction(s), c, (t0 + t1) / 2))
+        total += sum(a * (t1 ** (k + 1) - t0 ** (k + 1)) / (k + 1)
+                     for k, a in enumerate(poly))
+    return total
+
+
+MULTIPLIERS = (-2, -1, 1, 2, 3, 4)
+
+
+def _random_indicator(rng):
+    a = round(rng.uniform(0.0, 0.8), 6)
+    b = round(rng.uniform(a + 0.01, 1.0), 6)
+    return indicator(*rng.choice([(a, b), (0.0, b), (a, 1.0)]))
+
+
+def _random_knots(rng):
+    pos = sorted({round(rng.uniform(0.01, 0.99), 6) for _ in range(3)})
+    return piecewise_linear([(p, round(rng.uniform(-1, 1), 6))
+                             for p in [0.0, *pos]])
+
+
+def _random_polynomial_factor(rng):
+    return rng.choice([frac_part, lambda: power_of_frac(rng.randint(1, 4)),
+                       lambda: _random_indicator(rng),
+                       lambda: _random_knots(rng)])()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integrate_matches_exact_rational_integrals(seed):
+    # 2-4 factors, so degrees 0 to 16, each factor under its own map with
+    # a dyadic shift; three shifts per factor go through one call
+    rng = random.Random(seed)
+    fs = [_random_polynomial_factor(rng) for _ in range(rng.randint(2, 4))]
+    cs = [rng.choice(MULTIPLIERS) for _ in fs]
+    shifts = [np.array([rng.randrange(1 << 12) / (1 << 12) for _ in range(3)])
+              for _ in fs]
+    got = integrate(fs, list(zip(shifts, cs)))
+    for r in range(3):
+        maps = [(float(s[r]), c) for s, c in zip(shifts, cs)]
+        want = exact_class_integral(fs, maps)
+        assert abs(got[r] - want) <= 1e-15, (maps, float(want))
+
+
+def _mp_value(f, x):
+    """f at x in [0, 1), in mpmath arithmetic."""
+    if f.kind == "trig_poly":
+        return mp.fsum(c * mp.cos(2 * mp.pi * k * x) + s * mp.sin(2 * mp.pi * k * x)
+                       for k, c, s in f.params)
+    if f.kind in ("frac_part", "power_of_frac"):
+        return x ** (f.params or (1,))[0]
+    if f.kind == "indicator":
+        return mp.mpf(f.params[0] <= x < f.params[1])
+    pos = [mp.mpf(p) for p, _ in f.params] + [mp.mpf(1)]
+    val = [mp.mpf(v) for _, v in f.params] + [mp.mpf(f.params[0][1])]
+    j = max(i for i in range(len(pos) - 1) if pos[i] <= x)
+    return val[j] + (val[j + 1] - val[j]) * (x - pos[j]) / (pos[j + 1] - pos[j])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integrate_trig_classes_match_mpmath(seed):
+    # a trig_poly of up to 3 harmonics beside 1-3 piecewise-polynomial
+    # factors; mpmath integrates at 30 digits, split at the jumps and at
+    # every half period of the class's highest frequency
+    rng = random.Random(100 + seed)
+    trig = trig_poly([(k, rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for k in range(rng.randint(1, 3) + 1)])
+    fs = [trig] + [_random_polynomial_factor(rng)
+                   for _ in range(rng.randint(1, 3))]
+    maps = [(rng.randrange(1 << 12) / (1 << 12), rng.choice(MULTIPLIERS))
+            for _ in fs]
+    got = integrate(fs, maps)
+    with mp.workdps(30):
+        half = 2 * abs(maps[0][1]) * trig.frequency
+        cuts = sorted(set(_cuts(fs, maps, mp.mpf))
+                      | {mp.mpf(j) / half for j in range(1, half)})
+        want = mp.quad(lambda t: mp.fprod(
+            _mp_value(f, mp.frac(s + c * t)) for f, (s, c) in zip(fs, maps)), cuts)
+    assert abs(got - want) <= 1e-14, (maps, float(want))
 
 
 def test_integrate_argument_limits():

@@ -137,19 +137,67 @@ def test_predict_period_cap_is_inapplicable():
 
 
 def test_predict_panel_budget_is_inapplicable():
-    # two members over sqrt(2) with multipliers 1 and 2**20 map the
-    # breakpoint of {x} to 2**20 + 1 panel edges, 1,052,673 panels with the
-    # 4,096 uniform ones; with k = 2**10 the limit, the integral of
+    # two members over sqrt(2) with multipliers 1 and k map the breakpoint
+    # of {x} to at most 1 + k points in (0, 1), so the degree-2 class takes
+    # up to 2 + k panels, one a piece: k = 2**20 - 1 is one panel past the
+    # budget and k = 2**20 - 2 fills it.  The limit, the integral of
     # {t}{kt}, is 1/4 + 1/(12k)
-    fam = [rotation(SQRT2), rotation_power(SQRT2, 1 << 20)]
+    fam = [rotation(SQRT2), rotation_power(SQRT2, (1 << 20) - 1)]
     pred = predict(fam, [frac_part(), frac_part()])
     assert not pred.applicable and pred.value is None
-    assert pred.caveats == ("quadrature over radicand 2: up to 1052673 panels "
+    assert pred.caveats == ("quadrature over radicand 2: up to 1048577 panels "
                             "after refinement exceeds 1048576",)
-    fam = [rotation(SQRT2), rotation_power(SQRT2, 1 << 10)]
-    pred = predict(fam, [frac_part(), frac_part()])
+    k = (1 << 20) - 2
+    pred = predict([rotation(SQRT2), rotation_power(SQRT2, k)],
+                   [frac_part(), frac_part()])
     assert pred.applicable
-    assert pred.value == pytest.approx(0.25 + 1 / (12 * 2 ** 10), abs=1e-12)
+    assert pred.value == pytest.approx(0.25 + 1 / (12 * k), abs=1e-12)
+
+
+def test_predict_indicator_to_one_keeps_its_wrap():
+    # 1_[0.3, 1) jumps from 1 to 0 where {x0 + t} wraps; a quadrature that
+    # misses that jump said 0.3649928
+    fam = [rotation(SQRT2), rotation(ScalarConstant.surd(0, 2, 2))]
+    fs = [indicator(0.3, 1.0), indicator(0.0, 0.5)]
+    pred = predict(fam, fs, 0.77)
+    assert pred.applicable
+    assert pred.value == pytest.approx(0.365, abs=1e-15)
+    with mp.workdps(30):
+        want = mp_formula([(Fraction(0), 1, 2), (Fraction(0), 2, 2)], fs, 0.77)
+    assert pred.value == pytest.approx(float(want), abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [16, 10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5,
+                               3 * 10 ** 5, 10 ** 6])
+def test_predict_large_powers(p):
+    # [R_sqrt2, R_sqrt2] from 0 integrates t^p * t: the limit is 1/(p + 2)
+    pred = predict([rotation(SQRT2)] * 2, [power_of_frac(p), frac_part()])
+    assert pred.applicable
+    assert pred.value == pytest.approx(1 / (p + 2), rel=1e-11)
+
+
+def test_predict_large_powers_at_the_panel_budget():
+    # {t}^p {2t}^p with p = 10**6 is near 1/(3p); its class takes
+    # (p + 2p)/2 panels, past the budget, or it must be right
+    p = 10 ** 6
+    pred = predict([rotation(SQRT2), rotation(ScalarConstant.surd(0, 2, 2))],
+                   [power_of_frac(p)] * 2)
+    if pred.applicable:
+        with mp.workdps(30):  # the part on [1/2, 1], in s = 1 - t
+            want = 2 / mp.mpf(2) ** (p + 2) / (2 * p + 1) + mp.quad(
+                lambda s: ((1 - s) * (1 - 2 * s)) ** p,
+                [0, mp.mpf(2) / p, mp.mpf(8) / p, mp.mpf(32) / p,
+                 mp.mpf(128) / p, 0.5])
+        assert pred.value == pytest.approx(float(want), rel=1e-11)
+    else:
+        assert any("panels" in c for c in pred.caveats)
+    # [{x}^p, {x}] takes ceil((p + 1)/2) panels and one a breakpoint, so
+    # p = 2**21 - 4 is one panel past the budget
+    pred = predict([rotation(SQRT2)] * 2,
+                   [power_of_frac((1 << 21) - 4), frac_part()])
+    assert not pred.applicable
+    assert pred.caveats == ("quadrature over radicand 2: up to 1048577 panels "
+                            "after refinement exceeds 1048576",)
 
 
 def test_predict_large_multiplier_listed_first():
@@ -397,8 +445,8 @@ def _random_piecewise(rng):
 
 def _random_case(rng):
     """Members over sqrt(2), sqrt(3) and the rationals, as (spec, (a, c, m))
-    with multipliers c up to 8, and an indicator, {x} or piecewise-linear
-    observable for each."""
+    with multipliers c up to 8, and an indicator (some from 0, some to 1),
+    {x} or piecewise-linear observable for each."""
     members = []
     for _ in range(rng.randint(2, 4)):
         a = Fraction(rng.choice((0, 1, 1, 2)), rng.choice((1, 2, 3)))
@@ -417,7 +465,8 @@ def _random_case(rng):
         kind = rng.randrange(3)
         if kind == 0:
             lo = round(rng.uniform(0, 0.7), 3)
-            fs.append(indicator(lo, round(lo + rng.uniform(0.05, 0.3), 3)))
+            hi = round(lo + rng.uniform(0.05, 0.3), 3)
+            fs.append(indicator(*rng.choice([(lo, hi), (0.0, hi), (lo, 1.0)])))
         else:
             fs.append(frac_part() if kind == 1 else _random_piecewise(rng))
     return members, fs, round(rng.random(), 6)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from torusavg.cli import JOBS, ScenarioError, parse_scenario
 from torusavg.engine import MAX_N, MIN_RATIO, _orbit, _orbit_block
-from torusavg.observables import MAX_FREQUENCY
+from torusavg.observables import MAX_FREQUENCY, MAX_POWER
 from torusavg.oracle import predict
 from torusavg.unitmath import MAX_RADICAND, UnitPoint
 
@@ -100,6 +100,7 @@ def row(*types):
 
 COUNT = rarely(st.integers(1, 12), st.integers(-1, 0))
 RADICAND = st.one_of(COUNT, st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1]))
+POWER = st.one_of(COUNT, st.sampled_from([MAX_POWER, MAX_POWER + 1, 10 ** 400]))
 FREQUENCY = st.one_of(st.integers(-3, 6), st.sampled_from(
     [MAX_FREQUENCY, -MAX_FREQUENCY, MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1]))
 # numbers beyond float range, which the schema's real and the parser refuse
@@ -135,7 +136,7 @@ indicator = rarely(
     record({"kind": st.just("indicator"), "a": UNIT, "b": UNIT}), 8)
 observable = st.one_of(
     record({"kind": st.just("frac_part")}),
-    record({"kind": st.just("power_of_frac"), "p": COUNT}),
+    record({"kind": st.just("power_of_frac"), "p": POWER}),
     indicator,
     record({"kind": st.just("trig_poly"),
             "coeffs": st.lists(row(FREQUENCY, NUM, NUM),
@@ -244,6 +245,22 @@ def test_schema_and_parser_agree(doc):
         assert not parsed
     else:
         assert parsed == Validator(SCHEMA).is_valid(doc)
+
+
+@pytest.mark.parametrize("p, ok", [(MAX_POWER, True), (MAX_POWER + 1, False),
+                                   (10 ** 400, False)],
+                         ids=["2**53", "2**53+1", "10**400"])
+def test_power_cap_agrees(p, ok):
+    doc = {"name": "p", "family": [{"kind": "finite_rotation", "q": 2}],
+           "observables": [{"kind": "power_of_frac", "p": p}],
+           "schedule": {"n_max": 10}, "tolerance": 0.1}
+    assert Validator(SCHEMA).is_valid(doc) == ok
+    try:
+        parse_scenario(json.dumps(doc))
+        parsed = True
+    except ScenarioError:
+        parsed = False
+    assert parsed == ok
 
 
 # ---------------------------------------------------------------------------

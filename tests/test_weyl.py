@@ -107,12 +107,12 @@ def test_engine_matches_exact_weyl_sums(specs, fs, x0):
 
 
 @pytest.mark.parametrize("specs, fs, x0", [
-    # 98304 = 24 * 4096: on the default 4096 panels every node sees the
-    # same phase of the second factor
+    # 98304 = 24 * 4096: on 4096 uniform panels, as the quadrature once
+    # took, every node sees the same phase of the second factor
     ([rotation(SQRT2), rotation_power(SQRT2, 98304)],
      [trig_poly([(0, 0.5, 0.0), (1, 1.0, 0.0)]), COS], 0.2),
     # the frequencies 1 * 12288 and 12288 * 1 resonate to cos(2 pi 12287 x0)/2;
-    # their sum 24576 = 6 * 4096 is aliased on the default panels
+    # their sum 24576 = 6 * 4096 is aliased on 4096 uniform panels
     ([rotation_power(SQRT2, 12288), rotation(SQRT2)], [COS, COS12288], 0.3),
     ([rotation_power(SQRT3, 3000), rotation(ScalarConstant.surd("1/2", 1, 3)),
       finite_rotation(2)], [RANDOMISH[1], trig_poly([(9000, 0.5, 0.25)]),
