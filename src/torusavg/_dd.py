@@ -1,8 +1,9 @@
-"""Error-free float transforms and double-double helpers.
+"""Error-free float transforms, exact ratios and exactly rounded sums.
 
-Scalar functions work on (hi, lo) pairs of Python floats.  The ``v_``
-prefixed variants are numpy-vectorized: ``v_two_sum`` is error-free, and
-``v_sum`` is an exactly rounded sum.
+``two_sum`` is error-free on Python floats and on numpy arrays alike.
+``dd_mod1`` rounds an exact integer ratio p/q, modulo 1, once to a
+double-double (hi, lo) pair.  ``v_sum`` is an exactly rounded sum of a
+numpy vector.
 
 ``v_sum`` certifies most sums after one ExtractVector pass.  With
 sigma = 2**(e+m) above 2**m * max|a|, the split a = q + r,
@@ -28,52 +29,17 @@ def two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def fast_two_sum(a, b):
-    # valid only when |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def dd_add(x, y):
-    s, e = two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return fast_two_sum(s, e)
-
-
-def dd_from_ratio(p, q):
-    """p/q for ints q > 0, correctly rounded and so the same for any form of
-    the ratio: hi = p/q, lo = the remainder (int true division rounds so)."""
+def dd_mod1(p, q):
+    """p/q modulo 1 for ints q > 0 as a double-double rounded once: hi the
+    float nearest it, lo the float nearest the rest (int true division
+    rounds so), and so the same for any form of the ratio.  A value whose hi
+    rounds up to 1.0 lies on the circle at 0: (0.0, 0.0)."""
+    p %= q
     h = p / q
+    if h == 1.0:
+        return 0.0, 0.0
     n, d = h.as_integer_ratio()
     return h, (p * d - n * q) / (q * d)
-
-
-def dd_frac(x, _depth=0):
-    """Reduce a double-double into [0, 1), keeping the residue in lo."""
-    # x[0] - floor(x[0]) rounds for x[0] in (-1, 0): keep its error
-    h, e = two_sum(x[0], -math.floor(x[0]))
-    h, l = two_sum(h, x[1] + e)
-    if h >= 1.0:
-        h, l = two_sum(h - 1.0, l)
-    elif h < 0.0:
-        h, l2 = two_sum(h, 1.0)
-        l += l2
-    if h >= 1.0 or h < 0.0:
-        if _depth < 2:
-            return dd_frac((h, l), _depth + 1)
-        # value hugs an integer to below one ulp; collapse to the boundary
-        return 0.0, 0.0
-    return h, l
-
-
-# ---------------------------------------------------------------------------
-# vectorized variants
-
-
-def v_two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
 
 
 _SUM_PASSES = 4

@@ -255,6 +255,9 @@ def parse_scenario(text) -> Scenario:
     name = get("name", "string")
     if name == "":
         errs.append("name: required nonempty string")
+    elif name in (".", "..") or set(name or "") & {"/", "\\", "\0"}:
+        errs.append(f"name: {name!r} is not a file name: no '/', '\\' or NUL, "
+                    "and not '.' or '..'")
     job = get("job", "string", "average")
     if job is not None and job not in JOBS:
         errs.append(f"job: must be one of {tuple(JOBS)}, got {job!r}")

@@ -1,22 +1,23 @@
 """Streaming diagonal averages along rotation orbits.
 
-Orbits are evaluated blockwise: each block starts from the exact base
-{x0 + n0*alpha} (product reduction with Python-int step counts, never
-iterated additions) and adds j*alpha for the local step j, split so that
-the large part is exact in float64; one sign test wraps the points into
-[0, 1).  Each job plans its members' orbits once.  A rational member
-repeats with its period q, so when q is below DEFAULT_CHUNK its observable
-is evaluated at one period of points per job, and each block multiplies by
-those values, rotated to its first step, in rows that q divides: the terms
-bit for bit, as no value depends on the length of the array it is computed
-in (trig_poly runs each Horner multiply out of place for this, as numpy
-rounds an in-place complex multiply of a one-element array differently).
-Members with equal constants share one orbit per block.  Block sums are
-exactly rounded (``_dd.v_sum``, equal to math.fsum bit for bit): one
-ExtractVector pass and a bound on its rounding error certify almost every
-block, and only sums near a rounding midpoint take further passes.  They
-are merged through a Neumaier accumulator in block order, in one thread, so
-traces are bitwise reproducible.
+Orbits are evaluated blockwise: each block starts from the base
+{x0 + n0*alpha} and adds j*{alpha} for the local step j, split so that the
+large part is exact in float64; one sign test wraps the points into
+[0, 1).  Base and step are each one exact integer ratio (Python-int step
+counts, never iterated additions) rounded once to a double-double.  Each
+job plans its members' orbits once.  A rational member repeats with its
+period q, so when q is below DEFAULT_CHUNK its observable is evaluated at
+one period of points per job, and each block multiplies by those values,
+rotated to its first step, in rows that q divides: the terms bit for bit,
+as no value depends on the length of the array it is computed in (trig_poly
+runs each Horner multiply out of place for this, as numpy rounds an
+in-place complex multiply of a one-element array differently).  Members
+with equal constants share one orbit per block.  Block sums are exactly
+rounded (``_dd.v_sum``, equal to math.fsum bit for bit): one ExtractVector
+pass and a bound on its rounding error certify almost every block, and only
+sums near a rounding midpoint take further passes.  They are merged through
+a Neumaier accumulator in block order, in one thread, so traces are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _steps() -> np.ndarray:
 
 
 def _grid_split(x, k: int):
-    """Split a double-double x into hi + lo with hi a multiple of 2**-k and
-    lo = x - hi <= 0 (to one rounding)."""
+    """Split a double-double x in [0, 1), an orbit base or step, into
+    hi + lo with hi a multiple of 2**-k and lo = x - hi <= 0 (to one
+    rounding)."""
     h, l = x
     hi = math.ldexp(math.ceil(math.ldexp(h, k)), -k)
     if hi == h and l > 0.0:
@@ -125,9 +127,10 @@ def _period(const: ScalarConstant):
 
 
 def _orbit(const: ScalarConstant):
-    """(const, q, step): const's ``_period`` q, or None and step {const}."""
+    """(const, q, step): const's ``_period`` q, or None and the step {const}
+    as a double-double, its exact ``residue`` rounded once (``_dd.dd_mod1``)."""
     q = _period(const)
-    return const, q, None if q is not None else _dd.dd_frac(const.dd())
+    return const, q, None if q is not None else _dd.dd_mod1(*const.residue())
 
 
 # a period view's rows are the multiple of q below this, or q, wide: on 2**16
@@ -157,7 +160,7 @@ def rational_points(x0: UnitPoint, fr, n0: int, out):
     p, q = fr.numerator, fr.denominator
     m = min(q * max(1, _VIEW // q), len(out))
     n = np.arange(n0, n0 + m, dtype=np.int64)
-    h, e = _dd.v_two_sum(((n % q) * p % q).astype(np.float64) / q, x0.value)
+    h, e = _dd.two_sum(((n % q) * p % q).astype(np.float64) / q, x0.value)
     o = np.subtract(h, np.floor(h), out=out[:m])
     o += e + x0.comp
     _wrap(o, h)
@@ -227,7 +230,8 @@ class DiagonalJob:
         that reads member 0's points, or None.  A member of period q below
         DEFAULT_CHUNK has as period its values at n < w + q and the row
         width w.  Any other member reads its points from ws[row], row being
-        the first member with its constant, which computes its ``_orbit``."""
+        the first member with its constant, which computes its ``_orbit``
+        (its period, or its step from one ``residue``) once per job."""
         first, plan = {}, []
         for i, (c, f) in enumerate(zip(self.constants, self.observables)):
             row, orbit = first.get(c) or first.setdefault(c, (i, _orbit(c)))

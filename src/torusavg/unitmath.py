@@ -1,9 +1,9 @@
 """Arithmetic on the unit circle [0, 1).
 
-Fractional parts, exact rotation constants a + b*sqrt(m), drift-controlled
-orbit points {x + n*alpha} and Neumaier compensated summation.  A literal
-constant is the rational of its shortest round-trip decimal, so the literal
-0.1 is exactly 1/10.
+Fractional parts, exact rotation constants a + b*sqrt(m), orbit points
+{x + n*alpha} rounded once from exact integer ratios, and Neumaier
+compensated summation.  A literal constant is the rational of its shortest
+round-trip decimal, so the literal 0.1 is exactly 1/10.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ def _squarefree(m: int):
 _ROOT_BITS = 128
 
 
-def _surd_dd(p: int, q: int, m: int):
-    """(p/q)*sqrt(m) modulo 1 in double-double, for ints q > 0: the integer
-    square root floor(2**_ROOT_BITS * |p/q|*sqrt(m)), with p's sign, mod
-    2**_ROOT_BITS, over 2**_ROOT_BITS.  It is within 2**-_ROOT_BITS at any
-    magnitude, and depends on the value of p/q alone."""
-    r, one = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q, 1 << _ROOT_BITS
-    return _dd.dd_from_ratio((r if p > 0 else -r) % one, one)
+def _surd_residue(p: int, q: int, m: int) -> int:
+    """(p/q)*sqrt(m) modulo 1 in units of 2**-_ROOT_BITS, for ints q > 0:
+    the integer square root floor(2**_ROOT_BITS * |p/q|*sqrt(m)), with p's
+    sign, mod 2**_ROOT_BITS.  Over 2**_ROOT_BITS it is within
+    2**-_ROOT_BITS at any magnitude, and it depends on the value of p/q
+    alone."""
+    r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
+    return (r if p > 0 else -r) % (1 << _ROOT_BITS)
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,14 @@ class ScalarConstant:
             raise ValueError("literal constant must be finite")
         return ScalarConstant(Fraction(repr(v)))
 
-    def dd(self):
-        """Double-double (hi, lo) congruent to the constant modulo 1: a,
-        reduced modulo 1 where it reaches 2**53, plus b*sqrt(m) modulo 1
-        (``_surd_dd``)."""
-        a = self.a
-        if abs(a.numerator) >= a.denominator << 53:
-            a %= 1
-        return _dd.dd_add(_dd.dd_from_ratio(*a.as_integer_ratio()),
-                          _surd_dd(*self.b.as_integer_ratio(), self.m))
+    def residue(self, n: int = 1):
+        """Ints (p, q) with p/q congruent to n times the constant modulo 1:
+        n*a reduced exactly, (n*p_a mod q_a)/q_a, plus n*b*sqrt(m) modulo 1
+        to within 2**-_ROOT_BITS (``_surd_residue`` of n*p_b and q_b), as
+        one fraction over q_a * 2**_ROOT_BITS."""
+        (pa, qa), (pb, qb) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return ((n * pa % qa << _ROOT_BITS) + _surd_residue(n * pb, qb, self.m) * qa,
+                qa << _ROOT_BITS)
 
     def neg(self) -> "ScalarConstant":
         return ScalarConstant(-self.a, -self.b, self.m)
@@ -109,7 +109,7 @@ class ScalarConstant:
 @dataclass(frozen=True)
 class UnitPoint:
     """A point of the circle with a compensation residue: value + comp
-    carries the position to roughly double-double precision."""
+    carries the position to double-double precision."""
 
     value: float
     comp: float = 0.0
@@ -124,29 +124,28 @@ class UnitPoint:
             return x
         if not math.isfinite(x):
             raise ValueError("unit point must be finite")
-        h, l = _dd.dd_frac((float(x), 0.0))
-        return UnitPoint(h, l)
+        return UnitPoint(*_dd.dd_mod1(*float(x).as_integer_ratio()))
 
     def __float__(self):
         return self.value
 
 
 def orbit_point(x0, alpha: ScalarConstant, n: int) -> UnitPoint:
-    """{x0 + n*alpha} via product reduction.
+    """{x0 + n*alpha} via product reduction, rounded once.
 
-    From Python ints, n*a reduces modulo 1 exactly to (n*p_a mod q_a)/q_a,
-    and n*b*sqrt(m) modulo 1 to within 2**-128 (``_surd_dd`` of n*p_b and
-    q_b), so the point is within 2**-100 for every n, but for one within an
-    ulp below 1, which ``dd_frac`` takes to 0.0.
+    x0's value and comp are exact ratios, and so is n*alpha modulo 1 from
+    Python ints (``ScalarConstant.residue``): exact in its rational part,
+    and within 2**-128 in its surd part.  ``_dd.dd_mod1`` rounds their sum
+    modulo 1 once, with the rounded lo within 2**-107, so the point is
+    within 2**-106 for every n, but for one within half an ulp below 1,
+    which is 0.0.
     """
     if n < 0:
         raise ValueError("orbit step count must be nonnegative")
     x0 = UnitPoint.from_real(x0)
-    (pa, qa), (pb, qb) = alpha.a.as_integer_ratio(), alpha.b.as_integer_ratio()
-    shift = _dd.dd_add(_dd.dd_from_ratio(n * pa % qa, qa),
-                       _surd_dd(n * pb, qb, alpha.m))
-    h, l = _dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift))
-    return UnitPoint(h, l)
+    p, q = alpha.residue(n)
+    (pv, qv), (pc, qc) = x0.value.as_integer_ratio(), x0.comp.as_integer_ratio()
+    return UnitPoint(*_dd.dd_mod1((p * qv + pv * q) * qc + pc * q * qv, q * qv * qc))
 
 
 class CompensatedSum:

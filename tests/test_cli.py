@@ -380,6 +380,22 @@ def test_main_refuses_overflowing_observables(tmp_path, capsys, obs, message):
     assert not (tmp_path / "big.trace.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_main_refuses_names_that_are_not_file_names(tmp_path, capsys, name):
+    # before: "../escaped" wrote escaped.trace.csv and escaped.report.json
+    # next to --outdir and exited 0; a NUL exited 1 with a ValueError
+    doc = json.loads(MINIMAL)
+    doc["name"] = name
+    p = tmp_path / "in" / "sc.json"
+    p.parent.mkdir()
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--outdir", str(out)]) == 2
+    assert main(["predict", str(p)]) == 2
+    assert capsys.readouterr().err.count("is not a file name") == 2
+    assert sorted(tmp_path.rglob("*")) == [p.parent, p]
+
+
 @pytest.mark.parametrize("field", ["tolerance", "expected_override"])
 @pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400])
 def test_main_refuses_numbers_beyond_float_range(tmp_path, capsys, field, text):

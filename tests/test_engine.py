@@ -304,7 +304,7 @@ def floor_wrapped_orbit_block(x0, c, n0, n1):
     k = 52 - (n1 - n0 - 1).bit_length()
     base = orbit_point(x0, c, n0)
     bh, bl = _grid_split((base.value, base.comp), k)
-    ah, al = _grid_split(_dd.dd_frac(c.dd()), k)
+    ah, al = _grid_split(_dd.dd_mod1(*c.residue()), k)
     j = np.arange(n1 - n0, dtype=np.float64)
     o = j * ah + bh
     o -= np.floor(o)
@@ -359,7 +359,11 @@ def mp_orbit_errors(x0, c, n0, points):
                                # b*sqrt(m) beyond float range or below it
                                ScalarConstant.surd("1/3", int("1" * 400), 2),
                                ScalarConstant.surd(0, "1/" + "1" * 400, 2),
-                               ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3)])
+                               ScalarConstant.surd(0, "-" + "3" * 30 + "/7", 3),
+                               # a rational part near 2**52 beside a surd:
+                               # the step keeps the bits below 2**-53
+                               ScalarConstant.surd(Fraction(3 * 2 ** 52 + 1, 3),
+                                                   "-47/3", 7)])
 def test_orbit_block_matches_mpmath(c):
     for x0, n0, length in iproduct(ORBIT_X0, ORBIT_N0, ORBIT_LENGTHS):
         pts = orbit_block(UnitPoint.from_real(x0), c, n0, n0 + length)
@@ -532,7 +536,7 @@ def test_job_plans_members_once(monkeypatch):
             ref.append(acc.value() / n1)
     rational, orbits, periods, steps = [], [], [], []
     rational_points, orbit_block_ = engine.rational_points, engine._orbit_block
-    period, dd = engine._period, ScalarConstant.dd
+    period, residue = engine._period, ScalarConstant.residue
 
     def counted_rational_points(x0, fr, n0, out):
         rational.append(fr)
@@ -546,14 +550,16 @@ def test_job_plans_members_once(monkeypatch):
         periods.append(c)
         return period(c)
 
-    def counted_dd(c):
-        steps.append(c)
-        return dd(c)
+    def counted_residue(c, *n):
+        # a step is residue() with no count; orbit_point passes one
+        if not n:
+            steps.append(c)
+        return residue(c, *n)
 
     monkeypatch.setattr(engine, "rational_points", counted_rational_points)
     monkeypatch.setattr(engine, "_orbit_block", counted_orbit_block)
     monkeypatch.setattr(engine, "_period", counted_period)
-    monkeypatch.setattr(ScalarConstant, "dd", counted_dd)
+    monkeypatch.setattr(ScalarConstant, "residue", counted_residue)
     for _ in range(2):
         assert list(run_job(job).values) == ref  # bitwise
     # two runs: the rational members once per job, the orbits of the two

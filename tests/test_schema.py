@@ -172,7 +172,8 @@ def scenario(draw):
     indicators = record({key: indicator for key in want},
                         {key: indicator for key in "C" if key not in want})
     periodic = record({"g": observable, "k": COUNT})
-    required = {"name": rarely(st.just("s"), st.just("")),
+    required = {"name": rarely(st.just("s"), st.sampled_from(
+                    ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "..."])),
                 "family": st.just(family), "schedule": schedule,
                 "tolerance": rarely(st.floats(1e-3, 1),
                                     st.one_of(st.floats(-0.5, 0), HUGE))}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusavg import _dd
@@ -88,17 +88,31 @@ def test_orbit_additivity(m, n):
     assert min(diff, 1.0 - diff) <= 1e-12  # distance on the circle
 
 
+def rounded_mod1(x: Fraction):
+    """{x} as (hi, lo): hi the float nearest {x}, lo the float nearest the
+    rest, both from Fraction's correctly rounded float(); (0.0, 0.0) when
+    hi rounds up to 1.0."""
+    x %= 1
+    hi = float(x)
+    return (hi, float(x - Fraction(hi))) if hi < 1.0 else (0.0, 0.0)
+
+
+def mp_constant(c):
+    return (mp.mpf(c.a.numerator) / c.a.denominator
+            + mp.mpf(c.b.numerator) / c.b.denominator * mp.sqrt(c.m))
+
+
 def fraction_orbit_point(x0, alpha, n):
-    """orbit_point from Fraction products: n*a % 1, and n*b in lowest
-    terms into the integer square root of b*sqrt(m)."""
+    """orbit_point as one exact Fraction sum rounded once: x0's value and
+    comp, n*a, and n*b in lowest terms into the integer square root of
+    b*sqrt(m)."""
     x0 = UnitPoint.from_real(x0)
-    a, b = n * alpha.a % 1, n * alpha.b
+    b = n * alpha.b
     p, q, m = b.numerator, b.denominator, alpha.m
     r = math.isqrt(p * p * m << 2 * _ROOT_BITS) // q
-    fr = Fraction(r if p > 0 else -r, 1 << _ROOT_BITS) % 1
-    surd = _dd.dd_from_ratio(fr.numerator, fr.denominator)
-    shift = _dd.dd_add(_dd.dd_from_ratio(a.numerator, a.denominator), surd)
-    return UnitPoint(*_dd.dd_frac(_dd.dd_add((x0.value, x0.comp), shift)))
+    return UnitPoint(*rounded_mod1(Fraction(x0.value) + Fraction(x0.comp)
+                                   + n * alpha.a
+                                   + Fraction(r if p > 0 else -r, 1 << _ROOT_BITS)))
 
 
 ORBIT_CONSTS = [
@@ -135,12 +149,13 @@ def test_orbit_point_matches_fraction_formula():
 
 
 def test_orbit_point_matches_mpmath():
-    # within 2**-100 of {x0 + n*alpha} up to n = 2**53, or 0.0 for a point
-    # within an ulp below 1 (such as {0.3 + 7/10} and {-7*sqrt(2)/(2**61+2)})
+    # within 2**-106 of {x0 + n*alpha} up to n = 2**53 (the root's floor
+    # costs under 2**-128, the rounded lo under 2**-107), or 0.0 for a point
+    # within half an ulp below 1 (such as {0.3 + 7/10} and
+    # {-7*sqrt(2)/(2**61+2)})
     for c in ORBIT_CONSTS:
         with mp.workprec(2000):
-            alpha = (mp.mpf(c.a.numerator) / c.a.denominator
-                     + mp.mpf(c.b.numerator) / c.b.denominator * mp.sqrt(c.m))
+            alpha = mp_constant(c)
             for x0 in ORBIT_X0S:
                 x0 = UnitPoint.from_real(x0)
                 for n in ORBIT_NS:
@@ -148,8 +163,8 @@ def test_orbit_point_matches_mpmath():
                     ref = mp.frac(mp.mpf(x0.value) + mp.mpf(x0.comp) + n * alpha)
                     d = abs(mp.mpf(got.value) + mp.mpf(got.comp) - ref)
                     d = min(d, 1 - d)
-                    assert d <= 2.0 ** -100 or (
-                        (got.value, got.comp) == (0.0, 0.0) and d < 2.0 ** -53), \
+                    assert d <= 2.0 ** -106 or (
+                        (got.value, got.comp) == (0.0, 0.0) and d <= 2.0 ** -54), \
                         (c, x0, n, float(d))
 
 
@@ -191,19 +206,22 @@ def test_literal_is_its_decimal_rational():
             ScalarConstant.literal(bad)
 
 
-def test_scalar_float_value():
-    # congruent to the constant modulo 1
-    assert frac(sum(SQRT2.dd())) == pytest.approx(float(mp.frac(mp.sqrt(2))),
-                                                  abs=1e-16)
-    assert sum(ScalarConstant.rational(1, 3).dd()) == pytest.approx(1 / 3, abs=1e-17)
-    # parts of 2**53 and beyond are reduced modulo 1 rather than overflow
-    assert (ScalarConstant.rational(10 ** 400 + 1, 3).dd()
-            == ScalarConstant.rational(2, 3).dd())
-    big = ScalarConstant.surd(0, 10 ** 400, 2)
+def test_scalar_residue():
+    # p/q is congruent to n times the constant modulo 1: the rational part
+    # exactly, at any size, and the surd part within 2**-128
+    assert Fraction(*ScalarConstant.rational(1, 3).residue()) == Fraction(1, 3)
+    assert (Fraction(*ScalarConstant.rational(10 ** 400 + 1, 3).residue())
+            == Fraction(2, 3))
+    assert Fraction(*ScalarConstant.rational(-7, 10).residue(3)) == Fraction(9, 10)
     with mp.workdps(500):
-        want = float(mp.frac(10 ** 400 * mp.sqrt(2)))
-    assert frac(sum(big.dd())) == pytest.approx(want, abs=1e-16)
-    assert ScalarConstant.surd(0, Fraction(1, 10 ** 400), 2).dd() == (0.0, 0.0)
+        for c, n in [(SQRT2, 1), (SQRT2, 2 ** 53), (SQRT3.neg(), 7),
+                     (ScalarConstant.surd("1/3", "-2/7", 5), 10 ** 6),
+                     (ScalarConstant.surd(0, 10 ** 400, 2), 1)]:
+            p, q = c.residue(n)
+            assert 0 <= p < q
+            d = mp.frac(n * mp_constant(c)) - mp.mpf(p) / q
+            assert min(d % 1, 1 - d % 1) < mp.mpf(2) ** -128, (c, n)
+    assert ScalarConstant.surd(0, Fraction(1, 10 ** 400), 2).residue() == (0, 1 << 128)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +273,33 @@ def test_unit_point_range_enforced():
         UnitPoint(-0.1)
     assert UnitPoint.from_real(3.25).value == 0.25
     assert UnitPoint.from_real(-0.25).value == 0.75
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (10 ** 400 + 1, 3), (-7, 3),
+                                  (2 ** 100 - 2 ** 46 - 1, 2 ** 100),
+                                  (1, 3 << 1100), (0, 5), (-10, 5)])
+def test_dd_mod1_rounds_once(p, q):
+    assert _dd.dd_mod1(p, q) == rounded_mod1(Fraction(p, q))
+
+
+def test_dd_mod1_rounding_up_to_one_is_zero():
+    # just below 1, down to the rounding tie 1 - 2**-54, lies at 0 on the
+    # circle; just beyond the tie it is the float below 1 and a residue
+    for p, q in [(2 ** 60 - 1, 2 ** 60), (2 ** 54 - 1, 2 ** 54), (-1, 10 ** 30)]:
+        assert _dd.dd_mod1(p, q) == (0.0, 0.0)
+    assert (_dd.dd_mod1(2 ** 100 - 2 ** 46 - 1, 2 ** 100)
+            == (1 - 2 ** -53, 2 ** -54 - 2 ** -100))
+
+
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0).via("signed zero")
+@example(-0.3).via("rounds")
+@example(-1e-20).via("rounds up to 1")
+@example(-5e-324).via("rounds up to 1")
+@example(1e300).via("an integer")
+@example(1 - 2 ** -53).via("just below 1")
+def test_from_real_is_exact_frac_rounded_once(x):
+    got = UnitPoint.from_real(x)
+    assert ((got.value.hex(), got.comp.hex())
+            == tuple(v.hex() for v in rounded_mod1(Fraction(x)))), x
