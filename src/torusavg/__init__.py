@@ -14,14 +14,13 @@ exceeds 2**20 or when the quadratures of a class (one Gauss-Legendre panel
 per polynomial piece of degree up to 15) exceed the panel budget.
 """
 
-from .dynsys import (finite_rotation, identity, rotation, rotation_power,
-                     weyl_form)
+from .dynsys import finite_rotation, identity, rotation, rotation_power
 from .engine import (AverageTrace, Schedule, intersection_average,
                      multiple_average, run_job)
 from .observables import (Observable, frac_part, indicator, integrate,
                           piecewise_linear, power_of_frac, product, trig_poly)
 from .oracle import (ComparisonReport, Prediction, compare, predict,
-                     predict_intersection)
+                     predict_intersection, weyl_form)
 from .unitmath import (CompensatedSum, ScalarConstant, UnitPoint, frac,
                        orbit_point)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import dynsys, engine, observables
+from . import dynsys, engine, observables, oracle
 from .engine import Schedule
 from .observables import Observable, integrate
 from .oracle import Prediction, compare, predict, predict_intersection
@@ -290,13 +290,17 @@ def parse_scenario(text) -> Scenario:
         elif indicators is not None:
             errs.extend(f"indicators.{key}: required for {job} jobs"
                         for key in want if indicators[key] is None)
-        if "periodic" in obj:
-            errs.append("periodic: only valid for average jobs")
+            if "C" not in want and indicators["C"] is not None:
+                errs.append("indicators.C: only valid for triple jobs")
+        errs.extend(f"{key}: only valid for average jobs"
+                    for key in ("observables", "periodic") if key in obj)
     elif "observables" not in obj:
         errs.append("observables: required nonempty list for average jobs")
     elif None not in (d, n_obs) and d != n_obs:
         errs.append(f"observables: length {n_obs} does not match family "
                     f"length {d}")
+    if not want and "indicators" in obj:
+        errs.append("indicators: only valid for correlation and triple jobs")
 
     if errs:
         raise ScenarioError(errs)
@@ -545,14 +549,14 @@ def weyl_form_resolution(sched, tol_scale):
     cases = (
         ("weyl form literal 0.5 -> a = 1/2",
          [dynsys.rotation(ScalarConstant.literal(0.5))],
-         (dynsys.WeylTerm(Fraction(1, 2), 0, 1),)),
+         (oracle.WeylTerm(Fraction(1, 2), 0, 1),)),
         ("weyl form (sqrt2, sqrt8) -> c = (1, 2) over sqrt2",
          [_R2, dynsys.rotation(ScalarConstant.surd(0, 1, 8))],
-         (dynsys.WeylTerm(0, 1, 2), dynsys.WeylTerm(0, 2, 2))),
+         (oracle.WeylTerm(0, 1, 2), oracle.WeylTerm(0, 2, 2))),
         ("weyl form (sqrt2, sqrt3) -> distinct radicands", [_R2, _R3],
-         (dynsys.WeylTerm(0, 1, 2), dynsys.WeylTerm(0, 1, 3))),
+         (oracle.WeylTerm(0, 1, 2), oracle.WeylTerm(0, 1, 3))),
     )
-    return [_row(name, 0.0 if dynsys.weyl_form(specs) == want else 1.0,
+    return [_row(name, 0.0 if oracle.weyl_form(specs) == want else 1.0,
                  0.0, 0.0) for name, specs, want in cases]
 
 

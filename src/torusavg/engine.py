@@ -37,8 +37,9 @@ DEFAULT_CHUNK = 1 << 16
 # orbit points are good at any n (``orbit_point``): the cap is policy, so
 # that every count converts to a float exactly, as the average divides by it
 MAX_N = 1 << 53
-# geometric schedules take about log(n_max / first) / log(ratio) steps: at
-# most 344k at this floor, which parses in well under a second
+# geometric schedules start here and take about log(n_max / _FIRST) /
+# log(ratio) steps: at most 344k at MIN_RATIO, which parses in under a second
+_FIRST = 10
 MIN_RATIO = 1.0001
 
 
@@ -59,15 +60,14 @@ class Schedule:
             raise ValueError("schedule exceeds the supported orbit length")
 
     @classmethod
-    def geometric(cls, n_max: int, ratio: float = 10.0 ** 0.125,
-                  first: int = 10) -> "Schedule":
+    def geometric(cls, n_max: int, ratio: float = 10.0 ** 0.125) -> "Schedule":
         if n_max < 1:
             raise ValueError("n_max must be positive")
         if not ratio >= MIN_RATIO:
             raise ValueError(f"ratio must be at least {MIN_RATIO}")
         cs, j = [], 0
         while True:
-            x = first * ratio ** j  # inf for a huge ratio
+            x = _FIRST * ratio ** j  # inf for a huge ratio
             c = math.ceil(x) if x < n_max else n_max
             if c >= n_max:
                 break

@@ -1,16 +1,17 @@
 """Closed-form limit predictions and measured-vs-predicted comparison.
 
-Write each member's constant as a_i + c_i * beta_m * sqrt(m)
-(``dynsys.weyl_form``) and let q be the lcm of the a-denominators.  As 1
-and the sqrt(m) of distinct square-free m are linearly independent over
-Q, the sequence (n mod q, {n beta_m sqrt(m)} for each m) is equidistributed
-in Z/q x T^k (Weyl 1916), so the diagonal average from x0 tends to
+Write each member's constant as a_i + c_i * beta_m * sqrt(m) (``weyl_form``)
+and let q be the lcm of the a-denominators.  As 1 and the sqrt(m) of
+distinct square-free m are linearly independent over Q, the sequence
+(n mod q, {n beta_m sqrt(m)} for each m) is equidistributed in Z/q x T^k
+(Weyl 1916), so the diagonal average from x0 tends to
 
     (1/q) sum_{j<q} prod_{rational i} f_i({x0 + j a_i}) prod_m G_m[j mod q_m],
     G_m[r] = int_0^1 prod_{i over m} f_i(x0 + r a_i + c_i t) dt,
 
 with q_m the lcm of the a-denominators over m, one quadrature per residue
-of a period p of G_m that divides q_m (``_shift_period``).  A literal
+of the period p of G_m: the lcm over member pairs of the denominators of
+a_i*c_j - a_j*c_i, a divisor of q_m (``_shift_period``).  A literal
 constant is the rational of its shortest round-trip decimal, so 0.1 has
 q = 10.  The prediction is not applicable when q exceeds MAX_PERIOD or the
 quadratures of a class exceed the panel budget of ``integrate``.
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from . import _dd
-from .dynsys import weyl_form
 from .engine import AverageTrace, check_family, rational_points
 from .observables import QuadratureBudgetError, evaluate_array, integrate
 from .unitmath import UnitPoint
@@ -34,6 +36,30 @@ MAX_PERIOD = 1 << 20
 # conversion may refuse more than 640 digits (the least limit that
 # sys.set_int_max_str_digits takes).
 _PRINTABLE = 1 << 2048
+
+
+@dataclass(frozen=True)
+class WeylTerm:
+    """A rotation constant written as a + c * beta_m * sqrt(m)."""
+
+    a: Fraction
+    c: int  # 0 for a rational constant
+    m: int  # square-free radicand; 1 for a rational constant
+
+
+def weyl_form(ks) -> tuple[WeylTerm, ...]:
+    """Each member's constant as a + c * beta_m * sqrt(m): a rational, c an
+    integer, and one beta_m > 0 per radicand m, the gcd of the sqrt(m)
+    coefficients of the members over m."""
+    ks = tuple(ks)
+    beta = {}
+    for k in ks:
+        if k.b:
+            g = beta.get(k.m, Fraction(0))
+            beta[k.m] = Fraction(math.gcd(g.numerator, k.b.numerator),
+                                 math.lcm(g.denominator, k.b.denominator))
+    return tuple(WeylTerm(k.a, int(k.b / beta[k.m]) if k.b else 0, k.m)
+                 for k in ks)
 
 
 @dataclass(frozen=True)
@@ -69,26 +95,16 @@ def _resolve(members):
     return terms, tuple(derivation), q
 
 
-def _bezout(a: int, b: int):
-    """(g, x, y) with a*x + b*y = g, |g| = gcd(a, b)."""
-    if not b:
-        return a, 1, 0
-    g, x, y = _bezout(b, a % b)
-    return g, y, x - a // b * y
-
-
 def _shift_period(ts) -> int:
     """The least p with p*a_i = c_i*tau (mod 1) for one tau and every member,
-    so that t -> t + tau gives G_m[r + p] = G_m[r].  The c_i are coprime
-    (beta_m is the gcd of their coefficients), so sum u_i c_i = 1 for
-    integers u_i, tau = p*A (mod 1) with A = sum u_i a_i, and p is the lcm
-    of the denominators of c_i*A - a_i, a divisor of q_m."""
-    g, u = 0, []
-    for t in ts:
-        g, x, y = _bezout(g, t.c)
-        u = [x * v for v in u] + [y]
-    a = sum(v * t.a for v, t in zip(u, ts)) / g
-    return math.lcm(*((t.c * a - t.a).denominator for t in ts))
+    so that t -> t + tau gives G_m[r + p] = G_m[r]: the lcm over member
+    pairs of the denominators of a_i*c_j - a_j*c_i.  Such a tau makes each
+    p*(a_i*c_j - a_j*c_i) = c_j*(p*a_i - c_i*tau) - c_i*(p*a_j - c_j*tau)
+    an integer.  Conversely the c_i are coprime (beta_m is the gcd of their
+    coefficients), so sum_j u_j*c_j = 1 for integers u_j, and then
+    tau = sum_j u_j*p*a_j is common to every member."""
+    return math.lcm(*((s.a * t.c - t.a * s.c).denominator
+                      for s, t in combinations(ts, 2)))
 
 
 def predict(fam, fs, x0=0.0) -> Prediction:

@@ -396,6 +396,34 @@ def test_main_refuses_names_that_are_not_file_names(tmp_path, capsys, name):
     assert sorted(tmp_path.rglob("*")) == [p.parent, p]
 
 
+_ARCS = {k: {"kind": "indicator", "a": 0.0, "b": b}
+         for k, b in zip("ABC", (0.5, 0.3, 0.2))}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"job": "correlation", "indicators": _ARCS, "observables": None},
+     "indicators.C: only valid for triple jobs"),
+    ({"indicators": {"A": _ARCS["A"]}},
+     "indicators: only valid for correlation and triple jobs"),
+    ({"job": "triple", "indicators": _ARCS, "family": [
+        {"kind": "rotation", "alpha": {"surd": {"m": m}}} for m in (2, 3)]},
+     "observables: only valid for average jobs"),
+], ids=["correlation-C", "average-indicators", "triple-observables"])
+def test_main_refuses_fields_the_job_does_not_read(tmp_path, capsys, fields,
+                                                   message):
+    # before: each ran with the field dropped; the correlation job measured
+    # about len(A)*len(B) = 0.15 and exited 0
+    doc = {k: v for k, v in {**json.loads(MINIMAL), **fields}.items()
+           if v is not None}
+    p = tmp_path / "in" / "sc.json"
+    p.parent.mkdir()
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+    assert main(["predict", str(p)]) == 2
+    assert capsys.readouterr().err.count(message) == 2
+    assert sorted(tmp_path.rglob("*")) == [p.parent, p]
+
+
 @pytest.mark.parametrize("field", ["tolerance", "expected_override"])
 @pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400])
 def test_main_refuses_numbers_beyond_float_range(tmp_path, capsys, field, text):

@@ -4,20 +4,110 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusavg.dynsys import (WeylTerm, finite_rotation, rotation,
-                             rotation_power)
+from torusavg.dynsys import finite_rotation, identity, rotation, rotation_power
 from torusavg.engine import Schedule, multiple_average
 from torusavg import oracle
 from torusavg.observables import (frac_part, indicator, integrate,
                                   piecewise_linear, power_of_frac, trig_poly)
 from torusavg.observables import MAX_PRODUCT_FACTORS
-from torusavg.oracle import Factor, _shift_period, compare, predict
+from torusavg.oracle import (Factor, WeylTerm, _shift_period, compare,
+                             predict, weyl_form)
 from torusavg.unitmath import ScalarConstant
 
 SQRT2 = ScalarConstant.surd(0, 1, 2)
 SQRT3 = ScalarConstant.surd(0, 1, 3)
 SQRT5 = ScalarConstant.surd(0, 1, 5)
+
+
+def finite_order(spec):
+    """Order of a rational rotation: the denominator of its rational part."""
+    term, = weyl_form([spec])
+    if term.c:
+        raise ValueError("transform does not have finite order")
+    return term.a.denominator
+
+
+def classes(specs):
+    """Member indices grouped by radicand, in order of first appearance."""
+    groups = {}
+    for i, t in enumerate(weyl_form(specs)):
+        groups.setdefault(t.m, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# finite order
+
+
+def test_finite_order():
+    assert finite_order(finite_rotation(6)) == 6
+    assert finite_order(rotation(ScalarConstant.rational(3, 4))) == 4
+    assert finite_order(rotation(ScalarConstant.rational(7, 1))) == 1
+    assert finite_order(identity()) == 1
+    with pytest.raises(ValueError):
+        finite_order(rotation(SQRT2))
+
+
+# ---------------------------------------------------------------------------
+# families and the Weyl form of their constants
+
+
+def test_weyl_form_groups_by_radicand():
+    specs = [rotation(SQRT2), rotation(SQRT3), rotation(SQRT2)]
+    assert classes(specs) == ((0, 2), (1,))
+    assert weyl_form(specs) == (WeylTerm(0, 1, 2), WeylTerm(0, 1, 3),
+                                WeylTerm(0, 1, 2))
+
+
+def test_weyl_form_recognizes_rotation_power():
+    assert weyl_form([rotation(SQRT2), rotation_power(SQRT2, 1)]) == (
+        WeylTerm(0, 1, 2),) * 2
+    assert weyl_form([rotation_power(SQRT2, 2),
+                      rotation(ScalarConstant.surd(0, 2, 2))]) == (
+        WeylTerm(0, 1, 2),) * 2
+    # beta = gcd(2/3, 2, 3) = 1/3 for 2/3 sqrt(2), sqrt(8) and 3 sqrt(2)
+    assert weyl_form([rotation(ScalarConstant.surd(0, "2/3", 2)),
+                      rotation(ScalarConstant.surd(0, 1, 8)),
+                      rotation_power(SQRT2, 3)]) == (
+        WeylTerm(0, 2, 2), WeylTerm(0, 6, 2), WeylTerm(0, 9, 2))
+
+
+def test_weyl_form_keeps_integer_shifts_as_rational_parts():
+    # alpha and alpha + 1 act identically; the shift stays in the rational
+    # part, whose denominator 1 adds no period
+    assert weyl_form([rotation(SQRT2), rotation(ScalarConstant.surd(1, 1, 2))]) == (
+        WeylTerm(0, 1, 2), WeylTerm(1, 1, 2))
+    assert weyl_form([rotation(ScalarConstant.surd("1/2", -2, 3))]) == (
+        WeylTerm(Fraction(1, 2), -1, 3),)
+
+
+def test_weyl_form_finite_vs_rational():
+    assert weyl_form([finite_rotation(3), rotation(ScalarConstant.rational(1, 3))]) == (
+        WeylTerm(Fraction(1, 3), 0, 1),) * 2
+
+
+# ---------------------------------------------------------------------------
+# literal constants
+
+
+def test_weyl_form_literal_rational():
+    assert weyl_form([rotation(ScalarConstant.literal(0.5))]) == (
+        WeylTerm(Fraction(1, 2), 0, 1),)
+    assert weyl_form([rotation(ScalarConstant.literal(0.75))]) == (
+        WeylTerm(Fraction(3, 4), 0, 1),)
+    assert finite_order(rotation(ScalarConstant.literal(0.75))) == 4
+
+
+def test_weyl_form_literal_unresolved():
+    # no literal is left unresolved: the float nearest sqrt(2) - 1 is the
+    # rational of its shortest decimal, 0.41421356237309515, not a surd
+    lit = rotation(ScalarConstant.literal(math.sqrt(2) - 1))
+    assert weyl_form([rotation(SQRT2), lit]) == (
+        WeylTerm(0, 1, 2), WeylTerm(Fraction(41421356237309515, 10 ** 17), 0, 1))
+    assert finite_order(lit) == 2 * 10 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +322,32 @@ def _searched_period(ts):
 
 
 def test_shift_period_matches_search():
+    # up to a scenario's 8 members and its periodic factor, with rational
+    # parts over divisors of 360, so that the search stays short
     rng = random.Random(5)
+    dens = [d for d in range(1, 361) if 360 % d == 0]
     for _ in range(300):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, MAX_PRODUCT_FACTORS)
         cs = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(n)]
         g = math.gcd(*cs)
-        ts = [WeylTerm(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4, 6, 12))),
+        ts = [WeylTerm(Fraction(rng.randrange(360), rng.choice(dens)),
                        c // g, 2) for c in cs]
         assert _shift_period(ts) == _searched_period(ts), ts
+
+
+# a coefficient b of sqrt(m) for m in (2, 8, 18, 50): all over sqrt(2)
+COEFF = st.fractions(max_denominator=10 ** 6).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(max_denominator=100), COEFF,
+                          st.sampled_from((2, 8, 18, 50))),
+                min_size=1, max_size=MAX_PRODUCT_FACTORS))
+def test_weyl_form_coefficients_are_coprime(members):
+    # _shift_period's pairwise rule rests on gcd(c_i) = 1
+    ts = weyl_form([ScalarConstant.surd(a, b, m) for a, b, m in members])
+    assert {t.m for t in ts} == {2}
+    assert math.gcd(*(t.c for t in ts)) == 1
 
 
 def test_predict_nine_members_over_one_radicand():

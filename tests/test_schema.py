@@ -44,6 +44,22 @@ def test_shipped_scenarios_match_schema():
                             cls=Validator)
 
 
+@pytest.mark.parametrize("name, key, donor", [
+    ("correlation-sqrt2", "indicators", "triple-intersection"),
+    ("birkhoff-frac-part", "indicators", "triple-intersection"),
+    ("triple-intersection", "observables", "distinct-rotations"),
+])
+def test_fields_the_job_does_not_read_are_refused(name, key, donor):
+    # a shipped scenario with another's field that its job does not read
+    # (for correlation-sqrt2, indicator C); generated documents draw these
+    # rarely, so each case is also checked here
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc[key] = json.loads((SCENARIOS / f"{donor}.json").read_text())[key]
+    assert not Validator(SCHEMA).is_valid(doc)
+    with pytest.raises(ScenarioError, match="only valid"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_benchmark_inputs_parse_at_any_worker_count():
     # the benchmark writes "workers": 2 into its shipped jobs and 1 into
     # their check variants; the field is validated and has no effect
@@ -169,9 +185,10 @@ def scenario(draw):
                          st.lists(transform, max_size=9), 8))
     obs = draw(rarely(st.lists(observable, min_size=d, max_size=d),
                       st.lists(observable, max_size=9), 8))
-    indicators = record({key: indicator for key in want},
-                        {key: indicator for key in "C" if key not in want})
+    indicators = record({key: indicator for key in want})
     periodic = record({"g": observable, "k": COUNT})
+    # now and then, fields that the job does not read, which both refuse
+    stray = {"indicators": record({key: indicator for key in "ABC"})}
     required = {"name": rarely(st.just("s"), st.sampled_from(
                     ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "..."])),
                 "family": st.just(family), "schedule": schedule,
@@ -180,12 +197,12 @@ def scenario(draw):
     optional = {"x0": UNIT, "workers": COUNT, "expected_override": NUM}
     if job == "average":
         required["observables"] = st.just(obs)
-        optional.update(job=st.just(job), indicators=indicators,
-                        periodic=periodic)
+        optional.update(job=st.just(job), periodic=periodic)
     else:
         required.update(job=st.just(job), indicators=indicators)
-        optional.update(observables=st.just(obs), periodic=periodic)
-    return draw(record(required, optional))
+        stray.update(observables=st.just(obs), periodic=periodic)
+    return {**draw(record(required, optional)), **draw(rarely(
+        st.just({}), st.fixed_dictionaries({}, optional=stray), 8))}
 
 
 def _nodes(node):
